@@ -1,62 +1,25 @@
 """Traversal-based community detection with modularity refinement."""
 
 from .baselines import label_propagation, louvain
-from .cover import Cover, finalize, read_cover_file, write_cover_file
-from .graph import Graph, GraphParseError, load_edge_list, write_edge_list
-from .metrics import CoverStats, conductance_oracle, cover_stats, modularity
+from .cover import Cover, read_cover_file, write_cover_file
+from .graph import Graph, GraphParseError, load_edge_list
+from .metrics import cover_stats, modularity
 from .pipeline import DetectionResult, detect
-from .refine import (
-    ReducedGraph,
-    delta_modularity,
-    initial_cover,
-    maximize_modularity,
-    post_process,
-    reduce_graph,
-    refine_cover,
-)
-from .traversal import (
-    ClusterAccumulator,
-    NodeType,
-    RunConfig,
-    TraversalResult,
-    classify_by_conductance,
-    conductance,
-    ins_score,
-    run_traversal,
-    spread,
-)
+from .traversal import RunConfig, run_traversal
 
 __all__ = [
-    "ClusterAccumulator",
     "Cover",
-    "CoverStats",
     "DetectionResult",
     "Graph",
     "GraphParseError",
-    "NodeType",
-    "ReducedGraph",
     "RunConfig",
-    "TraversalResult",
-    "classify_by_conductance",
-    "conductance",
-    "conductance_oracle",
     "cover_stats",
-    "delta_modularity",
     "detect",
-    "finalize",
-    "initial_cover",
-    "ins_score",
     "label_propagation",
     "load_edge_list",
     "louvain",
-    "maximize_modularity",
     "modularity",
-    "post_process",
     "read_cover_file",
-    "reduce_graph",
-    "refine_cover",
     "run_traversal",
-    "spread",
     "write_cover_file",
-    "write_edge_list",
 ]

@@ -36,12 +36,9 @@ def label_propagation(g: Graph, seed: int, max_iters: int = 100) -> Cover:
                 changed = True
         if not changed:
             break
-    return finalize(Cover(assignment=dict(enumerate(labels))))
+    return finalize(Cover(labels))
 
 
 def louvain(g: Graph) -> Cover:
     """Greedy multilevel modularity maximization from the singleton cover."""
-    if g.n == 0:
-        return Cover(assignment={})
-    rg = reduce_graph(g, Cover.singletons(g))
-    return finalize(maximize_modularity(rg))
+    return finalize(maximize_modularity(reduce_graph(g, Cover.singletons(g))))

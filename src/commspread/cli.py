@@ -8,7 +8,7 @@ import os
 import sys
 import time
 
-from .cover import Cover, read_cover_file, write_cover_file
+from .cover import read_cover_file, write_cover_file
 from .graph import Graph, GraphParseError, load_edge_list
 from .metrics import cover_stats, modularity
 from .pipeline import detect
@@ -54,16 +54,15 @@ def _config(args, start: int | None) -> RunConfig:
 
 def cmd_detect(args) -> int:
     g, parse_ms = _load_graph(args.input)
-    start = _resolve_start(g, args.start) if g.n else None
-    cfg = _config(args, start)
+    cfg = _config(args, _resolve_start(g, args.start))
     t0 = time.perf_counter()
     result = detect(g, cfg)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    q = modularity(g, result.cover) if g.n else 0.0
+    q = modularity(g, result.cover)
     with open(args.output, "w", encoding="utf-8") as fh:
         write_cover_file(g, result.cover, fh)
     print(f"parse_ms={parse_ms:.1f}", file=sys.stderr)
-    print(f"{g.n}\t{g.m}\t{result.cover.k if g.n else 0}\t{q:.3f}\t{elapsed_ms:.1f}")
+    print(f"{g.n}\t{g.m}\t{result.cover.k}\t{q:.3f}\t{elapsed_ms:.1f}")
     return 0
 
 

@@ -2,90 +2,106 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO
 
 from .graph import Graph
+
+UNASSIGNED = -1
 
 
 @dataclass
 class Cover:
     """Assignment of nodes to community labels.
 
-    ``assignment`` maps internal node ids to integer community labels.
-    ``unassigned`` holds broker nodes left without a label after a
-    belonging-probability tie; together the two partition the node set.
+    ``assignment[v]`` is the non-negative community label of node ``v``, or
+    ``UNASSIGNED`` for a broker left without a label after a
+    belonging-probability tie.
     """
 
-    assignment: dict[int, int]
-    unassigned: set[int] = field(default_factory=set)
+    assignment: list[int]
+
+    @property
+    def unassigned(self) -> list[int]:
+        """Nodes without a label, in ascending id order."""
+        return [v for v, c in enumerate(self.assignment) if c == UNASSIGNED]
 
     def communities(self) -> dict[int, set[int]]:
         """Inverse index: community label -> member set."""
         index: dict[int, set[int]] = {}
-        for v, c in self.assignment.items():
-            index.setdefault(c, set()).add(v)
+        for v, c in enumerate(self.assignment):
+            if c != UNASSIGNED:
+                index.setdefault(c, set()).add(v)
         return index
 
     @property
     def k(self) -> int:
-        return len(set(self.assignment.values()))
-
-    def label(self, v: int) -> int:
-        return self.assignment[v]
+        return len(set(self.assignment) - {UNASSIGNED})
 
     def with_singletons(self) -> "Cover":
         """Promote every unassigned node to its own singleton community."""
-        if not self.unassigned:
+        if UNASSIGNED not in self.assignment:
             return self
-        assignment = dict(self.assignment)
-        for v in self.unassigned:
-            assignment[v] = v
-        return Cover(assignment=assignment)
+        return Cover([v if c == UNASSIGNED else c for v, c in enumerate(self.assignment)])
 
     @classmethod
     def singletons(cls, g: Graph) -> "Cover":
-        return cls(assignment={v: v for v in range(g.n)})
+        return cls(list(range(g.n)))
 
 
 def finalize(cover: Cover) -> Cover:
     """Renumber community labels densely to 0..k-1 in ascending label order.
 
-    Requires an empty unassigned set (promote singletons first if needed).
+    Requires every node to carry a label (promote singletons first if needed).
     """
-    if cover.unassigned:
+    if UNASSIGNED in cover.assignment:
         raise ValueError("finalize requires every node to carry a label")
-    mapping = {c: i for i, c in enumerate(sorted(set(cover.assignment.values())))}
-    return Cover(assignment={v: mapping[c] for v, c in cover.assignment.items()})
+    mapping = {c: i for i, c in enumerate(sorted(set(cover.assignment)))}
+    return Cover([mapping[c] for c in cover.assignment])
 
 
 def write_cover_file(g: Graph, cover: Cover, stream: IO) -> None:
     """Write ``external_label<TAB>community_id`` lines sorted by node label."""
-    if cover.unassigned:
+    if UNASSIGNED in cover.assignment:
         raise ValueError("cannot serialize a cover with unassigned nodes")
-    rows = sorted((g.label_of(v), c) for v, c in cover.assignment.items())
-    for label, c in rows:
+    for label, c in sorted(zip(g.labels, cover.assignment)):
         stream.write(f"{label}\t{c}\n")
 
 
 def read_cover_file(g: Graph, stream: IO) -> Cover:
-    """Parse a cover file; every node label must exist in the graph."""
-    assignment: dict[int, int] = {}
+    """Parse a cover file written by :func:`write_cover_file`.
+
+    Every node of ``g`` must appear exactly once, with a non-negative integer
+    community id.  A malformed line raises a ValueError naming its number.
+    """
+    assignment = [UNASSIGNED] * g.n
     unknown: list[str] = []
-    for raw in stream:
+    for lineno, raw in enumerate(stream, start=1):
         if isinstance(raw, bytes):
             raw = raw.decode("utf-8")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        label, comm = line.split("\t")
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ValueError(f"line {lineno}: expected label<TAB>community id: {line!r}")
+        label, comm = fields
         try:
-            assignment[g.id_of(label)] = int(comm)
-        except KeyError:
+            c = int(comm)
+        except ValueError:
+            raise ValueError(f"line {lineno}: community id is not an integer: {comm!r}") from None
+        if c < 0:
+            raise ValueError(f"line {lineno}: community id must be non-negative: {c}")
+        v = g.index.get(label)
+        if v is None:
             unknown.append(label)
+        elif assignment[v] != UNASSIGNED:
+            raise ValueError(f"line {lineno}: node {label!r} listed twice")
+        else:
+            assignment[v] = c
     if unknown:
         raise ValueError(f"unknown node labels in cover: {', '.join(sorted(unknown))}")
-    missing = [g.label_of(v) for v in range(g.n) if v not in assignment]
+    missing = [g.labels[v] for v, c in enumerate(assignment) if c == UNASSIGNED]
     if missing:
         raise ValueError(f"cover is missing nodes: {', '.join(sorted(missing))}")
-    return Cover(assignment=assignment)
+    return Cover(assignment)

@@ -1,14 +1,14 @@
-"""Immutable undirected graph storage and edge-list ingestion.
+"""Immutable undirected weighted graph storage and edge-list ingestion.
 
-Input graphs are simple and unweighted (every edge has weight 1 and no
-self-loops).  Weighted adjacency and per-node self-loop weights exist only to
-host reduced (contracted) graphs produced by :mod:`commspread.refine`.
+Every graph, input or contracted, has one layout: sorted adjacency lists,
+parallel edge weights and a per-node self-loop weight.  Input graphs are
+simple, so they carry unit weights and zero self-loops; the reduced graphs
+produced by :mod:`commspread.refine` carry contracted weights.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional, Sequence
 
@@ -31,23 +31,24 @@ class LoadReport:
 
 @dataclass
 class Graph:
-    """Undirected graph in compressed adjacency form.
+    """Undirected weighted graph in compressed adjacency form.
 
-    ``adj[v]`` is the sorted list of internal neighbor ids of ``v``.
-    ``weights[v]``, when present, is parallel to ``adj[v]``; input graphs
-    always carry ``weights=None`` (implicit weight 1).  ``self_loops[v]`` is a
-    non-negative weight, zero except on reduced graphs.  ``labels`` maps dense
-    internal ids back to the external string labels.
+    ``adj[v]`` is the sorted list of internal neighbor ids of ``v`` (never
+    ``v`` itself) and ``weights[v]`` is parallel to it.  ``self_loops[v]`` is
+    the self-loop weight of ``v``.  ``labels`` maps dense internal ids back
+    to the external string labels and ``index`` maps them forward.
     """
 
     adj: list[list[int]]
+    weights: list[list[float]]
+    self_loops: list[float]
     labels: list[str]
-    weights: Optional[list[list[float]]] = None
-    self_loops: Optional[list[float]] = None
     load_report: LoadReport = field(default_factory=LoadReport, repr=False)
+    index: Optional[dict[str, int]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        if self.index is None:
+            self.index = {lab: i for i, lab in enumerate(self.labels)}
         self._m = sum(len(a) for a in self.adj) // 2
 
     # -- basic queries ----------------------------------------------------
@@ -62,42 +63,21 @@ class Graph:
         return self._m
 
     def degree(self, v: int) -> int:
-        return len(self.adj[self._check(v)])
-
-    def neighbors(self, v: int) -> list[tuple[int, float]]:
-        """Sorted ``(neighbor, weight)`` pairs of ``v``."""
-        self._check(v)
-        if self.weights is None:
-            return [(u, 1.0) for u in self.adj[v]]
-        return list(zip(self.adj[v], self.weights[v]))
-
-    def self_loop(self, v: int) -> float:
-        self._check(v)
-        return 0.0 if self.self_loops is None else self.self_loops[v]
+        return len(self.adj[v])
 
     def strength(self, v: int) -> float:
         """Weighted degree including the self-loop weight."""
-        self._check(v)
-        if self.weights is None:
-            w = float(len(self.adj[v]))
-        else:
-            w = sum(self.weights[v])
-        return w + self.self_loop(v)
+        return sum(self.weights[v]) + self.self_loops[v]
 
     def total_weight(self) -> float:
         """Sum of strengths over all nodes (equals 2m on input graphs)."""
         return sum(self.strength(v) for v in range(self.n))
 
     def id_of(self, label: str) -> int:
-        return self._index[label]
+        return self.index[label]
 
     def label_of(self, v: int) -> str:
-        return self.labels[self._check(v)]
-
-    def _check(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise ValueError(f"node id {v} out of range [0, {self.n})")
-        return v
+        return self.labels[v]
 
     def edges(self) -> Iterable[tuple[int, int]]:
         """Each undirected edge once, as (u, v) with u < v."""
@@ -109,12 +89,37 @@ class Graph:
     # -- construction ------------------------------------------------------
 
     @classmethod
+    def _build(
+        cls,
+        labels: list[str],
+        edges: dict[tuple[int, int], float],
+        self_loops: list[float],
+        **fields,
+    ) -> "Graph":
+        """Graph on ``len(labels)`` nodes from ``{(u, v): weight}`` with u < v.
+
+        Appending the edges in ascending ``(u, v)`` order leaves every
+        adjacency list sorted.  ``fields`` pass the load report and the
+        label index through.
+        """
+        n = len(labels)
+        adj: list[list[int]] = [[] for _ in range(n)]
+        weights: list[list[float]] = [[] for _ in range(n)]
+        for u, v in sorted(edges):
+            w = edges[u, v]
+            adj[u].append(v)
+            weights[u].append(w)
+            adj[v].append(u)
+            weights[v].append(w)
+        return cls(adj=adj, weights=weights, self_loops=self_loops, labels=labels, **fields)
+
+    @classmethod
     def from_edges(
         cls,
         edges: Iterable[tuple[str, str]],
         extra_nodes: Sequence[str] = (),
     ) -> "Graph":
-        """Build a simple graph from labeled edges.
+        """Build a simple unit-weight graph from labeled edges.
 
         Duplicate edges collapse to one and self-loops are dropped; both are
         counted in the load report.  Internal ids follow first appearance.
@@ -131,101 +136,61 @@ class Graph:
             return i
 
         report = LoadReport()
-        edge_set: set[tuple[int, int]] = set()
+        edge_weights: dict[tuple[int, int], float] = {}
         for a, b in edges:
             u, v = intern(a), intern(b)
             if u == v:
                 report.self_loops += 1
                 continue
             key = (u, v) if u < v else (v, u)
-            if key in edge_set:
+            if key in edge_weights:
                 report.duplicate_edges += 1
             else:
-                edge_set.add(key)
+                edge_weights[key] = 1.0
         for lab in extra_nodes:
             intern(lab)
-
-        adj: list[list[int]] = [[] for _ in labels]
-        for u, v in edge_set:
-            adj[u].append(v)
-            adj[v].append(u)
-        for a in adj:
-            a.sort()
-        return cls(adj=adj, labels=labels, load_report=report)
+        return cls._build(
+            labels, edge_weights, [0.0] * len(labels), load_report=report, index=index
+        )
 
     @classmethod
     def weighted(
         cls,
         n: int,
-        edges: Iterable[tuple[int, int, float]],
-        self_loops: Sequence[float],
-        labels: Optional[Sequence[str]] = None,
+        edges: dict[tuple[int, int], float],
+        self_loops: list[float],
     ) -> "Graph":
-        """Build a weighted graph (used for reduced/contracted graphs)."""
-        if labels is None:
-            labels = [str(i) for i in range(n)]
-        pairs: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for u, v, w in edges:
-            if u == v:
-                raise ValueError("self-loops must go through the self_loops argument")
-            pairs[u].append((v, w))
-            pairs[v].append((u, w))
-        adj = []
-        weights = []
-        for lst in pairs:
-            lst.sort()
-            adj.append([u for u, _ in lst])
-            weights.append([w for _, w in lst])
-        return cls(
-            adj=adj,
-            labels=list(labels),
-            weights=weights,
-            self_loops=list(self_loops),
-        )
+        """Build a weighted graph from ``{(u, v): weight}`` with u < v.
+
+        Used for reduced (contracted) graphs; node labels are the ids.
+        """
+        return cls._build([str(i) for i in range(n)], edges, self_loops)
 
     # -- operations ---------------------------------------------------------
 
     def sample_edges(self, fraction: float, seed: int) -> "Graph":
         """Uniform edge sample without replacement over the same node set.
 
-        Keeps ``floor(fraction * m)`` edges; isolated nodes are retained.
-        Deterministic for a fixed seed.
+        Keeps ``floor(fraction * m)`` edges with their weights, and every
+        node with its self-loop weight.  Deterministic for a fixed seed.
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        if self.weights is not None:
-            raise ValueError("sampling is defined for unweighted input graphs")
-        all_edges = list(self.edges())
+        all_edges = [
+            (u, v, w)
+            for u in range(self.n)
+            for v, w in zip(self.adj[u], self.weights[u])
+            if u < v
+        ]
         k = int(fraction * len(all_edges))
         rng = random.Random(seed)
         keep = all_edges if k == len(all_edges) else rng.sample(all_edges, k)
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in keep:
-            adj[u].append(v)
-            adj[v].append(u)
-        for a in adj:
-            a.sort()
-        return Graph(adj=adj, labels=list(self.labels))
-
-    def connected_components(self) -> list[set[int]]:
-        """Maximal connected node sets, ordered by smallest member id."""
-        seen = bytearray(self.n)
-        components: list[set[int]] = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = {s}
-            seen[s] = 1
-            queue = deque([s])
-            while queue:
-                v = queue.popleft()
-                for u in self.adj[v]:
-                    if not seen[u]:
-                        seen[u] = 1
-                        comp.add(u)
-                        queue.append(u)
-            components.append(comp)
-        return components
+        return Graph._build(
+            self.labels,
+            {(u, v): w for u, v, w in keep},
+            list(self.self_loops),
+            index=self.index,
+        )
 
 
 def load_edge_list(stream: IO) -> Graph:
@@ -252,9 +217,3 @@ def load_edge_list(stream: IO) -> Graph:
             yield tokens[0], tokens[1]
 
     return Graph.from_edges(lines())
-
-
-def write_edge_list(g: Graph, stream: IO) -> None:
-    """Serialize the edge set, one ``u v`` line per undirected edge."""
-    for u, v in g.edges():
-        stream.write(f"{g.labels[u]} {g.labels[v]}\n")

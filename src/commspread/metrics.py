@@ -1,10 +1,10 @@
-"""Cover quality measures and brute-force oracles used by the test suite."""
+"""Cover quality measures: modularity, conductance and cover statistics."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import Cover
+from .cover import UNASSIGNED, Cover
 from .graph import Graph
 
 
@@ -16,19 +16,20 @@ def modularity(g: Graph, cover: Cover) -> float:
     modularity invariant under the contraction in
     :func:`commspread.refine.reduce_graph`.
     """
-    if cover.unassigned:
+    assign = cover.assignment
+    if UNASSIGNED in assign:
         raise ValueError("modularity requires every node to carry a label")
     w2 = g.total_weight()
     if w2 == 0:
         return 0.0
     internal: dict[int, float] = {}
     volume: dict[int, float] = {}
-    assign = cover.assignment
+    adj, weights, loops = g.adj, g.weights, g.self_loops
     for v in range(g.n):
         c = assign[v]
         volume[c] = volume.get(c, 0.0) + g.strength(v)
-        internal[c] = internal.get(c, 0.0) + g.self_loop(v)
-        for u, w in g.neighbors(v):
+        internal[c] = internal.get(c, 0.0) + loops[v]
+        for u, w in zip(adj[v], weights[v]):
             if assign[u] == c:
                 internal[c] = internal.get(c, 0.0) + w
     return sum(
@@ -57,9 +58,6 @@ def conductance_oracle(g: Graph, members: set[int]) -> float:
 class CoverStats:
     community_count: int
     sizes: dict[int, int]
-    min_size: int
-    max_size: int
-    mean_size: float
     modularity: float
     conductances: dict[int, float]
 
@@ -67,13 +65,9 @@ class CoverStats:
 def cover_stats(g: Graph, cover: Cover) -> CoverStats:
     """Aggregate size and quality statistics for a cover."""
     members = cover.communities()
-    sizes = {c: len(mem) for c, mem in members.items()}
     return CoverStats(
         community_count=len(members),
-        sizes=sizes,
-        min_size=min(sizes.values()),
-        max_size=max(sizes.values()),
-        mean_size=sum(sizes.values()) / len(sizes),
+        sizes={c: len(mem) for c, mem in members.items()},
         modularity=modularity(g, cover),
         conductances={c: conductance_oracle(g, mem) for c, mem in members.items()},
     )

@@ -14,7 +14,6 @@ from .traversal import RunConfig, TraversalResult, run_traversal
 class DetectionResult:
     cover: Cover
     traversal: TraversalResult
-    initial: Cover
 
 
 def detect(g: Graph, cfg: RunConfig) -> DetectionResult:
@@ -24,13 +23,9 @@ def detect(g: Graph, cfg: RunConfig) -> DetectionResult:
     directly (unassigned brokers become singleton communities).
     """
     traversal = run_traversal(g, cfg)
-    if g.n == 0:
-        empty = Cover(assignment={})
-        return DetectionResult(cover=empty, traversal=traversal, initial=empty)
-    initial = initial_cover(traversal)
-    allocated = post_process(g, initial, traversal.node_type)
+    allocated = post_process(g, initial_cover(traversal), traversal.node_type)
     if cfg.run_modmax:
         cover = refine_cover(g, allocated)
     else:
         cover = allocated.with_singletons()
-    return DetectionResult(cover=finalize(cover), traversal=traversal, initial=initial)
+    return DetectionResult(cover=finalize(cover), traversal=traversal)

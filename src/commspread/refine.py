@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import Cover
+from .cover import UNASSIGNED, Cover
 from .graph import Graph
 from .traversal import NodeType, TraversalResult
 
@@ -14,7 +14,7 @@ MOVE_TOLERANCE = 1e-12
 
 def initial_cover(result: TraversalResult) -> Cover:
     """Cover induced by the traversal labels (brokers keep their own id)."""
-    return Cover(assignment=dict(enumerate(result.community)))
+    return Cover(list(result.community))
 
 
 def post_process(g: Graph, cover: Cover, node_type: list[NodeType]) -> Cover:
@@ -34,8 +34,7 @@ def post_process(g: Graph, cover: Cover, node_type: list[NodeType]) -> Cover:
         for c, mem in members.items()
         if any(node_type[v] == NodeType.COMMUNITY for v in mem)
     }
-    assignment = dict(cover.assignment)
-    unassigned: set[int] = set()
+    assignment = list(cover.assignment)
     for v in range(g.n):
         if node_type[v] != NodeType.BROKER:
             continue
@@ -54,25 +53,21 @@ def post_process(g: Graph, cover: Cover, node_type: list[NodeType]) -> Cover:
                 best_c, best_p, tied = c, p, False
             elif p == best_p:
                 tied = True
-        if best_c is None or tied:
-            del assignment[v]
-            unassigned.add(v)
-        else:
-            assignment[v] = best_c
-    return Cover(assignment=assignment, unassigned=unassigned)
+        assignment[v] = UNASSIGNED if best_c is None or tied else best_c
+    return Cover(assignment)
 
 
 @dataclass
 class ReducedGraph:
     """Weighted super-vertex graph obtained by contracting a cover.
 
-    ``label_map`` maps super-vertex ids to the contracted community labels,
-    ``member_map`` maps the input graph's node ids to super-vertex ids.
+    ``label_map[s]`` is the contracted community label of super-vertex ``s``,
+    ``member_map[v]`` the super-vertex of the input graph's node ``v``.
     """
 
     graph: Graph
-    label_map: dict[int, int]
-    member_map: dict[int, int]
+    label_map: list[int]
+    member_map: list[int]
 
 
 def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
@@ -84,66 +79,33 @@ def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
     promoted to singleton communities first.  Super-vertices are ordered by
     the smallest member id of their community.
     """
-    cover = cover.with_singletons()
-    members = cover.communities()
-    order = sorted(members, key=lambda c: min(members[c]))
-    super_of_label = {c: i for i, c in enumerate(order)}
-    node_super = {v: super_of_label[c] for v, c in cover.assignment.items()}
+    # Ascending node order meets each community first at its smallest member.
+    super_of_label: dict[int, int] = {}
+    node_super = [
+        super_of_label.setdefault(c, len(super_of_label))
+        for c in cover.with_singletons().assignment
+    ]
 
-    k = len(order)
-    self_loops = [0.0] * k
+    self_loops = [0.0] * len(super_of_label)
     cross: dict[tuple[int, int], float] = {}
+    adj, weights, loops = g.adj, g.weights, g.self_loops
     for v in range(g.n):
-        self_loops[node_super[v]] += g.self_loop(v)
-        for u, w in g.neighbors(v):
+        cv = node_super[v]
+        self_loops[cv] += loops[v]
+        for u, w in zip(adj[v], weights[v]):
             if u < v:
                 continue
-            cu, cv = node_super[u], node_super[v]
+            cu = node_super[u]
             if cu == cv:
                 self_loops[cu] += 2.0 * w
             else:
-                key = (min(cu, cv), max(cu, cv))
+                key = (cu, cv) if cu < cv else (cv, cu)
                 cross[key] = cross.get(key, 0.0) + w
 
-    reduced = Graph.weighted(
-        n=k,
-        edges=[(u, v, w) for (u, v), w in cross.items()],
-        self_loops=self_loops,
-    )
     return ReducedGraph(
-        graph=reduced,
-        label_map={i: c for c, i in super_of_label.items()},
+        graph=Graph.weighted(len(self_loops), cross, self_loops),
+        label_map=list(super_of_label),
         member_map=node_super,
-    )
-
-
-def delta_modularity(g: Graph, partition: list[int], v: int, target: int) -> float:
-    """Weighted-modularity gain of moving ``v`` into community ``target``.
-
-    ``partition`` assigns a community label to every vertex of ``g``.  The
-    value equals Q(after move) - Q(before move); moving to the current
-    community is a no-op with gain 0.
-    """
-    current = partition[v]
-    if target == current:
-        return 0.0
-    w2 = g.total_weight()
-    if w2 == 0:
-        return 0.0
-    k_v = g.strength(v)
-    tot_cur = sum(g.strength(u) for u in range(g.n) if partition[u] == current)
-    tot_tgt = sum(g.strength(u) for u in range(g.n) if partition[u] == target)
-    in_cur = 0.0
-    in_tgt = 0.0
-    for u, w in g.neighbors(v):
-        if u == v:
-            continue
-        if partition[u] == current:
-            in_cur += w
-        elif partition[u] == target:
-            in_tgt += w
-    return 2.0 * (in_tgt - in_cur) / w2 - 2.0 * k_v * (tot_tgt - tot_cur + k_v) / (
-        w2 * w2
     )
 
 
@@ -164,15 +126,15 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
     if w2 == 0:
         return partition
 
+    adj, weights = g.adj, g.weights
     moved = True
     while moved:
         moved = False
         for v in range(n):
             cur = partition[v]
             weight_to: dict[int, float] = {}
-            for u, w in g.neighbors(v):
-                if u != v:
-                    weight_to[partition[u]] = weight_to.get(partition[u], 0.0) + w
+            for u, w in zip(adj[v], weights[v]):
+                weight_to[partition[u]] = weight_to.get(partition[u], 0.0) + w
             in_cur = weight_to.get(cur, 0.0)
             tot_cur_less = tot[cur] - strength[v]
             # Candidates in ascending label order, so the first maximal gain
@@ -202,10 +164,8 @@ def refine_cover(g: Graph, cover: Cover) -> Cover:
     super-vertex sweeps until no level improves.  Communities keep the label
     of their smallest original member's seed community.
     """
-    base = cover.with_singletons()
-    partition = _local_moves(g, [base.assignment[v] for v in range(g.n)])
-    rg = reduce_graph(g, Cover(assignment=dict(enumerate(partition))))
-    return maximize_modularity(rg)
+    partition = _local_moves(g, cover.with_singletons().assignment)
+    return maximize_modularity(reduce_graph(g, Cover(partition)))
 
 
 def maximize_modularity(rg: ReducedGraph) -> Cover:
@@ -216,24 +176,19 @@ def maximize_modularity(rg: ReducedGraph) -> Cover:
     that entered :func:`reduce_graph`, labeled by community label of the
     smallest original member.
     """
-    node_super = dict(rg.member_map)  # original node -> current-level vertex
+    node_super = rg.member_map  # original node -> current-level vertex
     level = rg.graph
     while True:
         partition = _local_moves(level)
-        if all(partition[v] == v for v in range(level.n)):
+        if partition == list(range(level.n)):
             break
-        level_cover = Cover(assignment=dict(enumerate(partition)))
-        contracted = reduce_graph(level, level_cover)
-        node_super = {v: contracted.member_map[s] for v, s in node_super.items()}
+        contracted = reduce_graph(level, Cover(partition))
+        node_super = [contracted.member_map[s] for s in node_super]
         level = contracted.graph
 
-    # Label each final community by the traversal label of its smallest member.
-    groups: dict[int, list[int]] = {}
-    for v, s in node_super.items():
-        groups.setdefault(s, []).append(v)
-    assignment: dict[int, int] = {}
-    for s, mem in groups.items():
-        label = rg.label_map[rg.member_map[min(mem)]]
-        for v in mem:
-            assignment[v] = label
-    return Cover(assignment=assignment)
+    # Label each final community by the traversal label of its smallest
+    # member, which ascending node order meets first.
+    label_of: dict[int, int] = {}
+    for v, s in enumerate(node_super):
+        label_of.setdefault(s, rg.label_map[rg.member_map[v]])
+    return Cover([label_of[s] for s in node_super])

@@ -31,15 +31,13 @@ class RunConfig:
 
     ``method`` is ``"ins"`` or ``"cond"``.  ``threshold`` applies to the ins
     method only.  ``start`` overrides the default lowest-degree starting node
-    (ties broken by smallest internal id).  ``seed`` only affects edge
-    sampling in sweeps; the traversal itself is deterministic.
+    (ties broken by smallest internal id).  The traversal is deterministic.
     """
 
     method: str = "ins"
     threshold: float = 0.75
     start: Optional[int] = None
     run_modmax: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in ("ins", "cond"):
@@ -68,12 +66,6 @@ class ClusterAccumulator:
         self.volume += degree
         self.cut += degree - 2 * edges_into_cluster
 
-    def conductance(self, total_volume: int) -> float:
-        denom = min(self.volume, total_volume - self.volume)
-        if denom <= 0:
-            return 0.0
-        return self.cut / denom
-
 
 @dataclass
 class TraversalResult:
@@ -87,44 +79,12 @@ class TraversalResult:
     inspections: int = 0
 
 
-def spread(g: Graph, v: int, covered: bytearray) -> int:
-    """Mark every uncovered neighbor of ``v`` as covered.
-
-    Returns the number of newly covered nodes.
-    """
-    newly = 0
-    for u in g.adj[v]:
-        if not covered[u]:
-            covered[u] = 1
-            newly += 1
-    return newly
-
-
 def ins_score(g: Graph, v: int, covered: bytearray) -> float:
     """Fraction of ``v``'s neighbors already covered (0 for isolated nodes)."""
     d = g.degree(v)
     if d == 0:
         return 0.0
     return sum(1 for u in g.adj[v] if covered[u]) / d
-
-
-def conductance(g: Graph, members: set[int]) -> float:
-    """Cut size over the smaller of the two side volumes, by direct enumeration.
-
-    Single-node clusters in a connected graph evaluate to 1; the value is
-    defined as 0 whenever the smaller volume is 0.
-    """
-    cut = 0
-    volume = 0
-    for v in members:
-        volume += g.degree(v)
-        for u in g.adj[v]:
-            if u not in members:
-                cut += 1
-    denom = min(volume, 2 * g.m - volume)
-    if denom <= 0:
-        return 0.0
-    return cut / denom
 
 
 def classify_by_conductance(

@@ -7,27 +7,20 @@ edge lists have not been fetched; see scripts/fetch_datasets.py.
 """
 
 import gc
+import importlib.util
 import random
 import statistics
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from commspread import (
-    Cover,
-    Graph,
-    NodeType,
-    RunConfig,
-    classify_by_conductance,
-    detect,
-    modularity,
-    reduce_graph,
-    run_traversal,
-)
+from commspread import Cover, Graph, RunConfig, detect, modularity, run_traversal
+from commspread.refine import reduce_graph
+from commspread.traversal import NodeType, classify_by_conductance
 
 from conftest import DATA_DIR, load_dataset, random_graph, random_partition
+from oracles import exact_conductance
 
 
 def report(capsys, criterion: str, ok: bool, detail: str) -> None:
@@ -116,13 +109,6 @@ def test_criterion_4_start_robustness(capsys, name):
     report(capsys, label, ok, f"mean Q={mean:.4f}, RSD={100 * rsd:.2f}% (limit 5%)")
 
 
-def exact_conductance(g: Graph, members: set[int]) -> Fraction:
-    cut = sum(1 for u, v in g.edges() if (u in members) != (v in members))
-    volume = sum(g.degree(v) for v in members)
-    denom = min(volume, 2 * g.m - volume)
-    return Fraction(cut, denom) if denom > 0 else Fraction(0)
-
-
 def test_criterion_5_conductance_rule_oracle(capsys):
     assert classify_by_conductance(3, 1, 5, 32, 2) is True  # bound 9/13 regression
     assert classify_by_conductance(4, 1, 8, 28, 3) is False  # bound exactly 1
@@ -158,9 +144,7 @@ def test_criterion_6_reduction_preserves_modularity(capsys):
         g = random_graph(rng, rng.randrange(2, 30), rng.uniform(0.05, 0.7))
         if g.m == 0:
             continue
-        cover = Cover(
-            assignment=dict(enumerate(random_partition(rng, g.n, rng.randrange(1, 6))))
-        )
+        cover = Cover(random_partition(rng, g.n, rng.randrange(1, 6)))
         rg = reduce_graph(g, cover)
         diff = abs(modularity(g, cover) - modularity(rg.graph, Cover.singletons(rg.graph)))
         worst = max(worst, diff)
@@ -179,37 +163,48 @@ def big_graph() -> Graph:
         v = rng.randrange(n)
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for a in adj:
-        a.sort()
-    return Graph(adj=adj, labels=[str(i) for i in range(n)])
+    return Graph.weighted(n, dict.fromkeys(edges, 1.0), [0.0] * n)
+
+
+def _load_reference():
+    """The benchmark's fixed reference workload (perfbench/reference.py)."""
+    path = DATA_DIR.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.reference_s
 
 
 def test_criterion_7_traversal_linearity(capsys, big_graph):
+    # The machine's speed drifts over seconds, so the four fractions take
+    # turns within each repeat, each timing is divided by the reference
+    # workload timed just before and after it, and the median is fitted.
     assert big_graph.m >= 100_000
+    reference_s = _load_reference()
     cfg = RunConfig(method="ins", threshold=0.75)
-    xs, ys = [], []
+    samples = [
+        big_graph if fraction == 1.0 else big_graph.sample_edges(fraction, seed=0)
+        for fraction in (0.25, 0.5, 0.75, 1.0)
+    ]
+    ratios: list[list[float]] = [[] for _ in samples]
     inspections_ok = True
     gc.disable()
     try:
-        for fraction in (0.25, 0.5, 0.75, 1.0):
-            sample = (
-                big_graph if fraction == 1.0 else big_graph.sample_edges(fraction, seed=0)
-            )
-            times = []
-            for _ in range(9):
+        before = reference_s()
+        for _ in range(9):
+            for sample, sample_ratios in zip(samples, ratios):
                 t0 = time.perf_counter()
                 res = run_traversal(sample, cfg)
-                times.append(time.perf_counter() - t0)
+                elapsed = time.perf_counter() - t0
+                after = reference_s()
+                sample_ratios.append(2 * elapsed / (before + after))
+                before = after
                 if res.inspections > 2 * sample.m + sample.n:
                     inspections_ok = False
-            xs.append(float(sample.m))
-            ys.append(sorted(times)[len(times) // 2])
     finally:
         gc.enable()
+    xs = [float(sample.m) for sample in samples]
+    ys = [statistics.median(r) for r in ratios]
     slope, intercept = np.polyfit(xs, ys, 1)
     pred = np.polyval([slope, intercept], xs)
     resid = np.asarray(ys) - pred

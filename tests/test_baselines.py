@@ -41,7 +41,7 @@ def test_label_propagation_covers_all_nodes():
     for _ in range(10):
         g = random_graph(rng, rng.randrange(1, 30), rng.random())
         cover = label_propagation(g, seed=1)
-        assert set(cover.assignment) == set(range(g.n))
+        assert len(cover.assignment) == g.n
         assert not cover.unassigned
 
 
@@ -63,4 +63,4 @@ def test_louvain_quality_on_karate(karate):
 
 
 def test_louvain_empty_graph():
-    assert louvain(Graph.from_edges([])).assignment == {}
+    assert louvain(Graph.from_edges([])).assignment == []

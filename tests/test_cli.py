@@ -132,6 +132,41 @@ def test_eval_rejects_incomplete_cover(capsys, tmp_path, walkthrough_path):
     assert "missing" in stderr
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("a\t0\nb 0\nc\t0\n", "line 2: expected label<TAB>community id"),
+        ("a\t0\nb\tx\nc\t0\n", "line 2: community id is not an integer"),
+        ("a\t0\nb\t-1\nc\t0\n", "line 2: community id must be non-negative"),
+        ("a\t0\nb\t0\na\t1\nc\t0\n", "line 3: node 'a' listed twice"),
+    ],
+    ids=["no-tab", "non-integer", "negative", "duplicate"],
+)
+def test_eval_malformed_cover_line_exits_2(capsys, tmp_path, text, message):
+    edges = tmp_path / "g.txt"
+    edges.write_text("a b\nb c\n")
+    cover = tmp_path / "cover.tsv"
+    cover.write_text(text)
+    code, _, stderr = run_cli(capsys, "eval", "--input", str(edges), "--cover", str(cover))
+    assert code == 2
+    assert message in stderr
+
+
+def test_detect_then_eval_on_empty_graph(capsys, tmp_path):
+    edges = tmp_path / "empty.txt"
+    edges.write_text("")
+    cover = tmp_path / "cover.tsv"
+    code, stdout, _ = run_cli(
+        capsys, "detect", "--input", str(edges), "--method", "ins", "--output", str(cover)
+    )
+    assert code == 0
+    assert stdout.split("\t")[:4] == ["0", "0", "0", "0.000"]
+    assert cover.read_text() == ""
+    code, stdout, _ = run_cli(capsys, "eval", "--input", str(edges), "--cover", str(cover))
+    assert code == 0
+    assert stdout.splitlines()[:2] == ["Q\t0.000", "k\t0"]
+
+
 def test_bench_csv_shape(capsys, walkthrough_path):
     code, stdout, stderr = run_cli(
         capsys,

@@ -4,43 +4,47 @@ import io
 
 import pytest
 
-from commspread import Cover, Graph, finalize, read_cover_file, write_cover_file
+from commspread import Cover, Graph, read_cover_file, write_cover_file
+from commspread.cover import UNASSIGNED, finalize
 
 
 def test_communities_and_k():
-    c = Cover(assignment={0: 5, 1: 5, 2: 9})
+    c = Cover([5, 5, 9])
     assert c.communities() == {5: {0, 1}, 9: {2}}
     assert c.k == 2
-    assert c.label(2) == 9
+    assert c.assignment[2] == 9
 
 
 def test_with_singletons_promotes_unassigned():
-    c = Cover(assignment={0: 5, 1: 5}, unassigned={2, 3})
+    c = Cover([5, 5, UNASSIGNED, UNASSIGNED])
+    assert c.unassigned == [2, 3]
+    assert c.communities() == {5: {0, 1}}
+    assert c.k == 1
     full = c.with_singletons()
-    assert full.assignment == {0: 5, 1: 5, 2: 2, 3: 3}
+    assert full.assignment == [5, 5, 2, 3]
     assert not full.unassigned
-    assert c.with_singletons() is not c  # original untouched
-    assert Cover(assignment={0: 1}).with_singletons().assignment == {0: 1}
+    assert c.assignment == [5, 5, UNASSIGNED, UNASSIGNED]  # original untouched
+    assert Cover([1]).with_singletons().assignment == [1]
 
 
 def test_singletons_constructor():
     g = Graph.from_edges([("a", "b"), ("b", "c")])
-    assert Cover.singletons(g).assignment == {0: 0, 1: 1, 2: 2}
+    assert Cover.singletons(g).assignment == [0, 1, 2]
 
 
 def test_finalize_renumbers_by_ascending_label():
-    c = Cover(assignment={0: 7, 1: 3, 2: 3, 3: 9})
-    assert finalize(c).assignment == {0: 1, 1: 0, 2: 0, 3: 2}
+    c = Cover([7, 3, 3, 9])
+    assert finalize(c).assignment == [1, 0, 0, 2]
 
 
 def test_finalize_rejects_unassigned():
     with pytest.raises(ValueError):
-        finalize(Cover(assignment={0: 1}, unassigned={1}))
+        finalize(Cover([1, UNASSIGNED]))
 
 
 def test_cover_file_roundtrip():
     g = Graph.from_edges([("b", "a"), ("a", "c")])
-    cover = Cover(assignment={0: 0, 1: 1, 2: 0})
+    cover = Cover([0, 1, 0])
     out = io.StringIO()
     write_cover_file(g, cover, out)
     # Sorted by external label: a, b, c.
@@ -52,7 +56,7 @@ def test_cover_file_roundtrip():
 def test_write_rejects_unassigned():
     g = Graph.from_edges([("a", "b")])
     with pytest.raises(ValueError):
-        write_cover_file(g, Cover(assignment={0: 0}, unassigned={1}), io.StringIO())
+        write_cover_file(g, Cover([0, UNASSIGNED]), io.StringIO())
 
 
 def test_read_rejects_unknown_labels():
@@ -65,3 +69,19 @@ def test_read_rejects_missing_nodes():
     g = Graph.from_edges([("a", "b"), ("b", "c")])
     with pytest.raises(ValueError, match="missing nodes.*c"):
         read_cover_file(g, io.StringIO("a\t0\nb\t0\n"))
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("a\t0\nb 0\nc\t0\n", "line 2: expected label<TAB>community id"),
+        ("a\t0\nb\tx\nc\t0\n", "line 2: community id is not an integer"),
+        ("a\t0\nb\t-1\nc\t0\n", "line 2: community id must be non-negative"),
+        ("a\t0\nb\t0\na\t1\nc\t0\n", "line 3: node 'a' listed twice"),
+    ],
+    ids=["no-tab", "non-integer", "negative", "duplicate"],
+)
+def test_read_rejects_malformed_line_naming_it(text, message):
+    g = Graph.from_edges([("a", "b"), ("b", "c")])
+    with pytest.raises(ValueError, match=message):
+        read_cover_file(g, io.StringIO(text))

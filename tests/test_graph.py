@@ -1,11 +1,11 @@
-"""Edge-list ingestion, graph queries, sampling and components."""
+"""Edge-list ingestion, graph queries and sampling."""
 
 import io
 import random
 
 import pytest
 
-from commspread import Graph, GraphParseError, load_edge_list, write_edge_list
+from commspread import Graph, GraphParseError, load_edge_list
 
 from conftest import random_graph
 
@@ -19,6 +19,8 @@ def test_basic_parse():
     assert (g.n, g.m) == (3, 2)
     assert g.labels == ["a", "b", "c"]
     assert g.adj == [[1], [0, 2], [1]]
+    assert g.weights == [[1.0], [1.0, 1.0], [1.0]]
+    assert g.self_loops == [0.0, 0.0, 0.0]
 
 
 def test_comments_and_blank_lines_ignored():
@@ -51,22 +53,12 @@ def test_first_appearance_ids_and_label_roundtrip():
     assert g.label_of(1) == "y"
     with pytest.raises(KeyError):
         g.id_of("missing")
-    with pytest.raises(ValueError):
-        g.degree(3)
 
 
 def test_edges_listed_once_sorted():
     g = parse("b a\nc a\nb c\n")
     assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 2)]
     assert g.degree(0) == 2
-
-
-def test_write_edge_list_roundtrip():
-    g = parse("a b\nb c\nc a\n")
-    out = io.StringIO()
-    write_edge_list(g, out)
-    g2 = parse(out.getvalue())
-    assert g2.adj == g.adj and g2.labels == g.labels
 
 
 def test_extra_nodes_preserved_as_isolates():
@@ -90,19 +82,14 @@ def test_sample_edges_subset_of_original(karate):
     assert set(s.edges()) <= set(karate.edges())
 
 
-def test_connected_components():
-    g = parse("a b\nc d\nd e\n")
-    comps = g.connected_components()
-    assert comps == [{0, 1}, {2, 3, 4}]
-
-
 def test_weighted_graph_strength_and_total_weight():
-    g = Graph.weighted(n=3, edges=[(0, 1, 2.0), (1, 2, 0.5)], self_loops=[4.0, 0.0, 0.0])
+    g = Graph.weighted(3, {(1, 2): 0.5, (0, 1): 2.0}, [4.0, 0.0, 0.0])
     assert g.strength(0) == 6.0
     assert g.strength(1) == 2.5
     assert g.total_weight() == 6.0 + 2.5 + 0.5
-    assert g.self_loop(0) == 4.0
-    assert g.neighbors(1) == [(0, 2.0), (2, 0.5)]
+    assert g.self_loops[0] == 4.0
+    assert (g.adj[1], g.weights[1]) == ([0, 2], [2.0, 0.5])
+    assert g.sample_edges(1.0, seed=0) == g  # weights and self-loops kept
 
 
 def test_unweighted_invariants_random():

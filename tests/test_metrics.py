@@ -6,6 +6,7 @@ import random
 import pytest
 
 from commspread import Cover, Graph, cover_stats, load_edge_list, louvain, modularity
+from commspread.cover import UNASSIGNED
 
 from conftest import random_graph, random_partition
 
@@ -27,24 +28,24 @@ def test_modularity_hand_value():
     # Two triangles joined by one edge, split at the bridge:
     # Q = 6/7 - (7/14)^2 - (7/14)^2 = 5/14.
     g = graph("a b\nb c\nc a\nd e\ne f\nf d\nc d\n")
-    cover = Cover(assignment={v: (0 if v < 3 else 1) for v in range(6)})
+    cover = Cover([0, 0, 0, 1, 1, 1])
     assert modularity(g, cover) == pytest.approx(5 / 14)
 
 
 def test_modularity_single_community_is_zero():
     g = graph("a b\nb c\n")
-    assert modularity(g, Cover(assignment={0: 0, 1: 0, 2: 0})) == pytest.approx(0.0)
+    assert modularity(g, Cover([0, 0, 0])) == pytest.approx(0.0)
 
 
 def test_modularity_rejects_unassigned():
     g = graph("a b\n")
     with pytest.raises(ValueError):
-        modularity(g, Cover(assignment={0: 0}, unassigned={1}))
+        modularity(g, Cover([0, UNASSIGNED]))
 
 
 def test_modularity_empty_graph_is_zero():
     g = Graph.from_edges([], extra_nodes=["a"])
-    assert modularity(g, Cover(assignment={0: 0})) == 0.0
+    assert modularity(g, Cover([0])) == 0.0
 
 
 def test_modularity_matches_networkx_random():
@@ -54,7 +55,7 @@ def test_modularity_matches_networkx_random():
         if g.m == 0:
             continue
         part = random_partition(rng, g.n, rng.randrange(1, 5))
-        cover = Cover(assignment=dict(enumerate(part)))
+        cover = Cover(part)
         groups = [set(mem) for mem in cover.communities().values()]
         expected = nx.algorithms.community.modularity(to_networkx(g), groups)
         assert modularity(g, cover) == pytest.approx(expected, abs=1e-12)
@@ -87,7 +88,7 @@ def test_louvain_reaches_near_optimal_modularity_small():
         trials += 1
         best = 0.0
         for labels in set_partitions(g.n):
-            q = modularity(g, Cover(assignment=dict(enumerate(labels))))
+            q = modularity(g, Cover(list(labels)))
             best = max(best, q)
         got = modularity(g, louvain(g))
         assert got >= 0.9 * best - 1e-12
@@ -95,12 +96,10 @@ def test_louvain_reaches_near_optimal_modularity_small():
 
 def test_cover_stats_fields():
     g = graph("a b\nb c\nc a\nd e\ne f\nf d\nc d\n")
-    cover = Cover(assignment={v: (0 if v < 3 else 1) for v in range(6)})
+    cover = Cover([0, 0, 0, 1, 1, 1])
     stats = cover_stats(g, cover)
     assert stats.community_count == 2
     assert stats.sizes == {0: 3, 1: 3}
-    assert stats.min_size == stats.max_size == 3
-    assert stats.mean_size == 3.0
     assert stats.modularity == pytest.approx(5 / 14)
     assert stats.conductances[0] == pytest.approx(1 / 7)
     assert stats.conductances[1] == pytest.approx(1 / 7)

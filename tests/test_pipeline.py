@@ -9,7 +9,7 @@ from conftest import random_graph
 
 def test_empty_graph():
     result = detect(Graph.from_edges([]), RunConfig())
-    assert result.cover.assignment == {}
+    assert result.cover.assignment == [] and result.cover.k == 0
 
 
 def test_cover_is_complete_and_dense_random():
@@ -18,8 +18,8 @@ def test_cover_is_complete_and_dense_random():
         for _ in range(10):
             g = random_graph(rng, rng.randrange(1, 40), rng.uniform(0.05, 0.5))
             result = detect(g, RunConfig(method=method, threshold=0.7))
-            assert set(result.cover.assignment) == set(range(g.n))
-            labels = set(result.cover.assignment.values())
+            assert len(result.cover.assignment) == g.n
+            labels = set(result.cover.assignment)
             assert labels == set(range(len(labels)))  # finalized 0..k-1
 
 

@@ -1,0 +1,83 @@
+"""Property tests over edge-case graph families and small random graphs."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from commspread import Cover, Graph, RunConfig, detect, label_propagation, louvain, modularity
+from commspread.cover import UNASSIGNED
+from commspread.refine import MOVE_TOLERANCE, _local_moves, reduce_graph
+
+from oracles import delta_modularity
+
+
+def build(n: int, edges) -> Graph:
+    return Graph.from_edges(
+        [(str(u), str(v)) for u, v in edges], extra_nodes=[str(v) for v in range(n)]
+    )
+
+
+def clique_edges(nodes):
+    return [(u, v) for u in nodes for v in nodes if u < v]
+
+
+FAMILIES = {
+    "empty": lambda n: build(0, []),
+    "isolated": lambda n: build(n, []),
+    "disconnected": lambda n: build(
+        2 * n, clique_edges(range(n)) + clique_edges(range(n, 2 * n))
+    ),
+    "star": lambda n: build(n + 1, [(0, v) for v in range(1, n + 1)]),
+    "clique": lambda n: build(n, clique_edges(range(n))),
+    "path": lambda n: build(n, [(v, v + 1) for v in range(n - 1)]),
+}
+
+
+@st.composite
+def random_graphs(draw) -> Graph:
+    n = draw(st.integers(1, 14))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return build(n, [(u, v) for u, v in draw(st.lists(pairs, max_size=40)) if u != v])
+
+
+GRAPHS = st.one_of(
+    st.builds(
+        lambda kind, n: FAMILIES[kind](n), st.sampled_from(sorted(FAMILIES)), st.integers(1, 8)
+    ),
+    random_graphs(),
+)
+
+ALGORITHMS = {
+    "ins": lambda g: detect(g, RunConfig(method="ins", threshold=0.7)).cover,
+    "cond": lambda g: detect(g, RunConfig(method="cond")).cover,
+    "louvain": louvain,
+    "label_propagation": lambda g: label_propagation(g, seed=0),
+}
+
+
+@settings(deadline=None)
+@given(GRAPHS, st.sampled_from(sorted(ALGORITHMS)))
+def test_cover_is_dense_partition_with_bounded_modularity(g, name):
+    cover = ALGORITHMS[name](g)
+    assert len(cover.assignment) == g.n
+    assert UNASSIGNED not in cover.assignment
+    assert set(cover.assignment) == set(range(cover.k))
+    assert -0.5 <= modularity(g, cover) <= 1.0
+
+
+@settings(deadline=None)
+@given(GRAPHS, st.sampled_from(["ins", "cond"]), st.sampled_from([True, False]))
+def test_detect_is_deterministic(g, method, run_modmax):
+    cfg = RunConfig(method=method, threshold=0.7, run_modmax=run_modmax)
+    assert detect(g, cfg).cover == detect(g, cfg).cover
+
+
+@settings(deadline=None)
+@given(GRAPHS, st.data())
+def test_local_moves_converge_to_no_improving_move(g, data):
+    # Contracting a random cover first gives weighted graphs with self-loops.
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+    for level in (g, reduce_graph(g, Cover(labels)).graph):
+        partition = _local_moves(level)
+        for v in range(level.n):
+            for c in {partition[u] for u in level.adj[v]}:
+                assert delta_modularity(level, partition, v, c) <= MOVE_TOLERANCE

@@ -5,34 +5,34 @@ import random
 
 import pytest
 
-from commspread import (
-    Cover,
-    Graph,
-    NodeType,
-    RunConfig,
-    delta_modularity,
+from commspread import Cover, Graph, RunConfig, load_edge_list, modularity, run_traversal
+from commspread.cover import UNASSIGNED
+from commspread.refine import (
     initial_cover,
-    load_edge_list,
     maximize_modularity,
-    modularity,
     post_process,
     reduce_graph,
     refine_cover,
-    run_traversal,
 )
+from commspread.traversal import NodeType
 
 from conftest import random_graph, random_partition
+from oracles import delta_modularity
 
 
 def graph(text: str) -> Graph:
     return load_edge_list(io.StringIO(text))
 
 
+def cover_by_label(g: Graph, labels: dict[str, int]) -> Cover:
+    return Cover([labels[lab] for lab in g.labels])
+
+
 def test_initial_cover_copies_traversal_labels():
     g = graph("a b\nb c\n")
     res = run_traversal(g, RunConfig(threshold=0.5))
     cover = initial_cover(res)
-    assert cover.assignment == dict(enumerate(res.community))
+    assert cover.assignment == res.community
 
 
 def test_post_process_assigns_broker_to_best_community():
@@ -40,16 +40,7 @@ def test_post_process_assigns_broker_to_best_community():
     # (size 2): probabilities 2/3 vs 1/2, so x joins community 0.
     g = graph("a b\nb c\nd e\nx a\nx b\nx d\n")
     ids = {lab: g.id_of(lab) for lab in "abcdex"}
-    cover = Cover(
-        assignment={
-            ids["a"]: 0,
-            ids["b"]: 0,
-            ids["c"]: 0,
-            ids["d"]: 1,
-            ids["e"]: 1,
-            ids["x"]: ids["x"],
-        }
-    )
+    cover = cover_by_label(g, {"a": 0, "b": 0, "c": 0, "d": 1, "e": 1, "x": ids["x"]})
     types = [NodeType.COMMUNITY] * g.n
     types[ids["x"]] = NodeType.BROKER
     out = post_process(g, cover, types)
@@ -60,27 +51,19 @@ def test_post_process_assigns_broker_to_best_community():
 def test_post_process_tie_leaves_broker_unassigned():
     g = graph("a b\nc d\nx a\nx c\n")
     ids = {lab: g.id_of(lab) for lab in "abcdx"}
-    cover = Cover(
-        assignment={
-            ids["a"]: 0,
-            ids["b"]: 0,
-            ids["c"]: 1,
-            ids["d"]: 1,
-            ids["x"]: ids["x"],
-        }
-    )
+    cover = cover_by_label(g, {"a": 0, "b": 0, "c": 1, "d": 1, "x": ids["x"]})
     types = [NodeType.COMMUNITY] * g.n
     types[ids["x"]] = NodeType.BROKER
     out = post_process(g, cover, types)
-    assert ids["x"] in out.unassigned
-    assert ids["x"] not in out.assignment
+    assert out.unassigned == [ids["x"]]
+    assert out.assignment[ids["x"]] == UNASSIGNED
 
 
 def test_post_process_broker_only_cluster_not_eligible():
     # x's only neighbors form a broker-only cluster, which cannot receive it.
     g = graph("a b\nx a\n")
     ids = {lab: g.id_of(lab) for lab in "abx"}
-    cover = Cover(assignment={ids["a"]: 5, ids["b"]: 5, ids["x"]: ids["x"]})
+    cover = cover_by_label(g, {"a": 5, "b": 5, "x": ids["x"]})
     types = [NodeType.BROKER, NodeType.BROKER, NodeType.BROKER]
     out = post_process(g, cover, types)
     assert ids["x"] in out.unassigned
@@ -89,7 +72,7 @@ def test_post_process_broker_only_cluster_not_eligible():
 def test_post_process_seeding_broker_keeps_label():
     g = graph("a b\nb c\n")
     ids = {lab: g.id_of(lab) for lab in "abc"}
-    cover = Cover(assignment={ids["a"]: ids["a"], ids["b"]: ids["a"], ids["c"]: ids["a"]})
+    cover = cover_by_label(g, {"a": ids["a"], "b": ids["a"], "c": ids["a"]})
     types = [NodeType.BROKER, NodeType.COMMUNITY, NodeType.COMMUNITY]
     out = post_process(g, cover, types)
     assert out.assignment[ids["a"]] == ids["a"]
@@ -98,23 +81,23 @@ def test_post_process_seeding_broker_keeps_label():
 def test_reduce_graph_weights_and_conservation():
     # Two triangles joined by one edge, contracted to their triangles.
     g = graph("a b\nb c\nc a\nd e\ne f\nf d\nc d\n")
-    cover = Cover(assignment={v: (0 if v < 3 else 1) for v in range(6)})
+    cover = Cover([0, 0, 0, 1, 1, 1])
     rg = reduce_graph(g, cover)
     assert rg.graph.n == 2
-    assert rg.graph.self_loop(0) == 6.0  # 3 intra edges * 2
-    assert rg.graph.self_loop(1) == 6.0
-    assert rg.graph.neighbors(0) == [(1, 1.0)]
+    assert rg.graph.self_loops == [6.0, 6.0]  # 3 intra edges * 2
+    assert (rg.graph.adj, rg.graph.weights) == ([[1], [0]], [[1.0], [1.0]])
     assert rg.graph.total_weight() == 2 * g.m
-    assert rg.label_map == {0: 0, 1: 1}
-    assert all(rg.member_map[v] == (0 if v < 3 else 1) for v in range(6))
+    assert rg.label_map == [0, 1]
+    assert rg.member_map == [0, 0, 0, 1, 1, 1]
 
 
 def test_reduce_graph_promotes_unassigned_to_singletons():
     g = graph("a b\nb c\n")
-    cover = Cover(assignment={0: 0, 1: 0}, unassigned={2})
+    cover = Cover([0, 0, UNASSIGNED])
     rg = reduce_graph(g, cover)
     assert rg.graph.n == 2
-    assert rg.member_map[2] == 1
+    assert rg.member_map == [0, 0, 1]
+    assert rg.label_map == [0, 2]
 
 
 def test_reduction_preserves_modularity_random():
@@ -124,7 +107,7 @@ def test_reduction_preserves_modularity_random():
         if g.m == 0:
             continue
         part = random_partition(rng, g.n, rng.randrange(1, 5))
-        cover = Cover(assignment=dict(enumerate(part)))
+        cover = Cover(part)
         rg = reduce_graph(g, cover)
         q_orig = modularity(g, cover)
         q_reduced = modularity(rg.graph, Cover.singletons(rg.graph))
@@ -140,10 +123,10 @@ def test_delta_modularity_matches_recompute():
         part = random_partition(rng, g.n, rng.randrange(1, 5))
         v = rng.randrange(g.n)
         target = rng.randrange(4)
-        before = modularity(g, Cover(assignment=dict(enumerate(part))))
+        before = modularity(g, Cover(part))
         moved = list(part)
         moved[v] = target
-        after = modularity(g, Cover(assignment=dict(enumerate(moved))))
+        after = modularity(g, Cover(moved))
         gain = delta_modularity(g, part, v, target)
         assert gain == pytest.approx(after - before, abs=1e-12)
 
@@ -173,17 +156,17 @@ def test_maximize_modularity_never_hurts_random():
         if g.m == 0:
             continue
         part = random_partition(rng, g.n, rng.randrange(1, 4))
-        cover = Cover(assignment=dict(enumerate(part)))
+        cover = Cover(part)
         refined = refine_cover(g, cover)
         assert modularity(g, refined) >= modularity(g, cover) - 1e-12
-        assert set(refined.assignment) == set(range(g.n))
+        assert len(refined.assignment) == g.n and not refined.unassigned
 
 
 def test_refine_cover_seeds_from_cover():
     # A cover that is already optimal must survive refinement unchanged in
     # structure (two cliques stay two communities).
     g = graph("a b\nb c\nc a\nd e\ne f\nf d\nc d\n")
-    cover = Cover(assignment={v: (0 if v < 3 else 1) for v in range(6)})
+    cover = Cover([0, 0, 0, 1, 1, 1])
     refined = refine_cover(g, cover)
     comms = sorted(sorted(m) for m in refined.communities().values())
     assert comms == [[0, 1, 2], [3, 4, 5]]

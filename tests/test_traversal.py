@@ -5,15 +5,8 @@ import random
 
 import pytest
 
-from commspread import (
-    Graph,
-    NodeType,
-    RunConfig,
-    ins_score,
-    load_edge_list,
-    run_traversal,
-    spread,
-)
+from commspread import Graph, RunConfig, load_edge_list, run_traversal
+from commspread.traversal import NodeType, ins_score
 
 from conftest import random_graph
 
@@ -27,14 +20,6 @@ def test_config_validation():
         RunConfig(method="bogus")
     with pytest.raises(ValueError):
         RunConfig(threshold=1.5)
-
-
-def test_spread_marks_uncovered_neighbors():
-    g = graph("a b\na c\nb c\n")
-    covered = bytearray(g.n)
-    covered[1] = 1
-    assert spread(g, 0, covered) == 1  # only c is new
-    assert covered == bytearray([0, 1, 1])
 
 
 def test_ins_score_fraction_of_covered_neighbors():
@@ -135,7 +120,7 @@ def test_empty_graph():
 
 
 def test_cond_method_covers_only_processed_frontier():
-    # COND marks nodes covered when categorized, not via spread; still every
+    # COND marks nodes covered when categorized, not by spreading; still every
     # node ends up categorized exactly once.
     g = graph("a b\nb c\nc d\nd a\n")
     res = run_traversal(g, RunConfig(method="cond"))

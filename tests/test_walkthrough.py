@@ -8,7 +8,8 @@ groups.
 
 import pytest
 
-from commspread import NodeType, RunConfig, detect, modularity, run_traversal
+from commspread import RunConfig, detect, modularity, run_traversal
+from commspread.traversal import NodeType
 
 # (node, score to 2 decimals, category, initial community label)
 GOLDEN_ROWS = [
@@ -72,5 +73,5 @@ def test_final_labels_before_renumbering(walkthrough):
     labels = {g.label_of(v) for v in res.discovery_order[:1]}  # sanity: N first
     assert labels == {"N"}
     # finalize() renumbers densely to 0..2.
-    assert set(result.cover.assignment.values()) == {0, 1, 2}
+    assert set(result.cover.assignment) == {0, 1, 2}
     assert seeds == {g.id_of("A"), g.id_of("F"), g.id_of("K")}
