@@ -1,0 +1,165 @@
+#!/usr/bin/env python3
+"""Compare the results of the working tree's ``src/`` with those at a git revision.
+
+    python scripts/compare_covers.py REV [--graphs N] [--seed S]
+
+``src/`` at REV is extracted with ``git archive`` into a temporary directory.
+Both trees then run this script's digest mode in a subprocess, each with
+its own ``src/`` on ``PYTHONPATH``.  A run records the sha256 of the cover
+file written by every algorithm of ``tests/test_golden_covers.py`` (detect
+ins, cond and ins without modmax, ``louvain``, ``label_propagation``), of
+every ``TraversalResult`` field under ins and cond, and of the
+``cover_stats`` of a seeded random partition.  It does so for the
+shipped datasets and for N seeded random graphs (Erdos-Renyi and planted
+partitions, some with isolated nodes).  Every difference is printed, and
+the exit status is 1 if there is one, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import pathlib
+import random
+import subprocess
+import sys
+import tarfile
+import tempfile
+from dataclasses import asdict
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATASETS = ("karate", "lesmis", "walkthrough13")
+TRAVERSAL_FIELDS = (
+    "community",
+    "node_type",
+    "ins",
+    "discovery_order",
+    "processing_order",
+    "inspections",
+)
+
+
+def random_edges(rng: random.Random) -> tuple[list[tuple[str, str]], list[str]]:
+    """A small seeded graph as labeled edges plus its full node list."""
+    n = rng.randrange(1, 80)
+    if rng.random() < 0.5:
+        p = rng.uniform(0.02, 0.4)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    else:
+        groups = rng.randrange(1, 8)
+        p_in, p_out = rng.uniform(0.2, 0.9), rng.uniform(0.0, 0.1)
+        pairs = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < (p_in if u % groups == v % groups else p_out)
+        ]
+    return [(str(u), str(v)) for u, v in pairs], [str(v) for v in range(n)]
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digests(graphs: int, seed: int) -> dict[str, str]:
+    """Digest of every result, keyed ``graph/algorithm[/field]``."""
+    from commspread import (
+        Cover,
+        Graph,
+        RunConfig,
+        cover_stats,
+        detect,
+        label_propagation,
+        load_edge_list,
+        louvain,
+        run_traversal,
+        write_cover_file,
+    )
+
+    algorithms = {
+        "ins": lambda g: detect(g, RunConfig(method="ins", threshold=0.75)).cover,
+        "cond": lambda g: detect(g, RunConfig(method="cond")).cover,
+        "ins-skip": lambda g: detect(
+            g, RunConfig(method="ins", threshold=0.75, run_modmax=False)
+        ).cover,
+        "louvain": louvain,
+        "lpa": lambda g: label_propagation(g, seed=0),
+    }
+
+    cases = []
+    for name in DATASETS:
+        with open(ROOT / "data" / f"{name}.txt", encoding="utf-8") as fh:
+            cases.append((name, load_edge_list(fh)))
+    for i in range(graphs):
+        edges, nodes = random_edges(random.Random(seed * 1_000_003 + i))
+        cases.append((f"random{i}", Graph.from_edges(edges, extra_nodes=nodes)))
+
+    out: dict[str, str] = {}
+    for name, g in cases:
+        for alg, run in algorithms.items():
+            text = io.StringIO()
+            write_cover_file(g, run(g), text)
+            out[f"{name}/{alg}"] = sha(text.getvalue())
+        for method in ("ins", "cond"):
+            result = run_traversal(g, RunConfig(method=method, threshold=0.75))
+            for field in TRAVERSAL_FIELDS:
+                value = getattr(result, field)
+                out[f"{name}/traversal-{method}/{field}"] = sha(json.dumps(value))
+        rng = random.Random(name)
+        k = rng.randrange(1, g.n + 1) if g.n else 1
+        stats = cover_stats(g, Cover([rng.randrange(k) for _ in range(g.n)]))
+        out[f"{name}/cover_stats"] = sha(json.dumps(asdict(stats), sort_keys=True))
+    return out
+
+
+def run_tree(src: pathlib.Path, graphs: int, seed: int) -> dict[str, str]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, __file__, "--digest", "--graphs", str(graphs), "--seed", str(seed)],
+        env=env,
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", nargs="?", help="git revision to compare against")
+    parser.add_argument("--graphs", type=int, default=200)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--digest", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.digest:
+        json.dump(digests(args.graphs, args.seed), sys.stdout)
+        return 0
+    if args.rev is None:
+        parser.error("a revision is required")
+
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", args.rev, "src"],
+        check=True,
+        capture_output=True,
+    ).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp)
+        old = run_tree(pathlib.Path(tmp) / "src", args.graphs, args.seed)
+    new = run_tree(ROOT / "src", args.graphs, args.seed)
+
+    differences = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
+    for key in differences:
+        print(f"differs: {key} ({old.get(key, 'missing')[:12]} -> {new.get(key, 'missing')[:12]})")
+    print(
+        f"{len(new)} digests over {len(DATASETS)} datasets and {args.graphs} random graphs: "
+        f"{len(differences)} differ from {args.rev}"
+    )
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import statistics
 import sys
 import time
 
@@ -90,16 +91,10 @@ def cmd_eval(args) -> int:
 
 
 def _linear_fit(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
-    """Least-squares slope, intercept and R^2."""
-    import numpy as np
-
-    slope, intercept = np.polyfit(xs, ys, 1)
-    pred = np.polyval([slope, intercept], xs)
-    resid = np.asarray(ys) - pred
-    total = np.asarray(ys) - np.mean(ys)
-    ss_tot = float(np.dot(total, total))
-    r2 = 1.0 - float(np.dot(resid, resid)) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
+    """Least-squares slope, intercept and R^2 (1.0 when ``ys`` is constant)."""
+    slope, intercept = statistics.linear_regression(xs, ys)
+    r2 = statistics.correlation(xs, ys) ** 2 if len(set(ys)) > 1 else 1.0
+    return slope, intercept, r2
 
 
 def cmd_bench(args) -> int:
@@ -114,12 +109,14 @@ def cmd_bench(args) -> int:
         raise CliError("need at least two distinct fractions for a linearity fit")
     if args.repeats < 1:
         raise CliError("repeats must be >= 1")
+    samples = [g if f == 1.0 else g.sample_edges(f, args.seed) for f in fractions]
+    if len({sample.m for sample in samples}) < 2:
+        raise CliError("fewer than two distinct edge counts for a linearity fit")
 
     dataset = os.path.splitext(os.path.basename(args.input))[0]
     print("dataset,fraction,method,phase,run,time_ms,Q,k")
     medians: list[tuple[int, float]] = []
-    for fraction in fractions:
-        sample = g if fraction == 1.0 else g.sample_edges(fraction, args.seed)
+    for fraction, sample in zip(fractions, samples):
         times = []
         for run in range(args.repeats):
             cfg = RunConfig(method=args.method, threshold=args.threshold)

@@ -26,14 +26,6 @@ class Cover:
         """Nodes without a label, in ascending id order."""
         return [v for v, c in enumerate(self.assignment) if c == UNASSIGNED]
 
-    def communities(self) -> dict[int, set[int]]:
-        """Inverse index: community label -> member set."""
-        index: dict[int, set[int]] = {}
-        for v, c in enumerate(self.assignment):
-            if c != UNASSIGNED:
-                index.setdefault(c, set()).add(v)
-        return index
-
     @property
     def k(self) -> int:
         return len(set(self.assignment) - {UNASSIGNED})

@@ -1,4 +1,4 @@
-"""Cover quality measures: modularity, conductance and cover statistics."""
+"""Cover quality measures: modularity and cover statistics."""
 
 from __future__ import annotations
 
@@ -37,23 +37,6 @@ def modularity(g: Graph, cover: Cover) -> float:
     )
 
 
-def conductance_oracle(g: Graph, members: set[int]) -> float:
-    """Set conductance by direct enumeration of the full edge set.
-
-    Independent of any incremental cut bookkeeping; defined as 0 when the
-    smaller side of the cut has volume 0.
-    """
-    cut = 0
-    for u, v in g.edges():
-        if (u in members) != (v in members):
-            cut += 1
-    volume = sum(g.degree(v) for v in members)
-    denom = min(volume, 2 * g.m - volume)
-    if denom <= 0:
-        return 0.0
-    return cut / denom
-
-
 @dataclass
 class CoverStats:
     community_count: int
@@ -63,11 +46,29 @@ class CoverStats:
 
 
 def cover_stats(g: Graph, cover: Cover) -> CoverStats:
-    """Aggregate size and quality statistics for a cover."""
-    members = cover.communities()
+    """Aggregate size and quality statistics for a cover in one edge pass.
+
+    A community's conductance is its cut over the smaller of its volume and
+    the rest of the volume, or 0 when that minimum is 0.
+    """
+    q = modularity(g, cover)  # rejects unassigned nodes
+    assign = cover.assignment
+    sizes: dict[int, int] = {}
+    volume: dict[int, int] = {}
+    cut: dict[int, int] = {}
+    for v, c in enumerate(assign):
+        nbrs = g.adj[v]
+        sizes[c] = sizes.get(c, 0) + 1
+        volume[c] = volume.get(c, 0) + len(nbrs)
+        cut[c] = cut.get(c, 0) + sum(1 for u in nbrs if assign[u] != c)
+    twom = 2 * g.m
+    conductances = {}
+    for c, vol in volume.items():
+        denom = min(vol, twom - vol)
+        conductances[c] = cut[c] / denom if denom > 0 else 0.0
     return CoverStats(
-        community_count=len(members),
-        sizes={c: len(mem) for c, mem in members.items()},
-        modularity=modularity(g, cover),
-        conductances={c: conductance_oracle(g, mem) for c, mem in members.items()},
+        community_count=len(sizes),
+        sizes=sizes,
+        modularity=q,
+        conductances=conductances,
     )

@@ -3,6 +3,7 @@ greedy modularity maximization."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .cover import UNASSIGNED, Cover
@@ -28,32 +29,18 @@ def post_process(g: Graph, cover: Cover, node_type: list[NodeType]) -> Cover:
     maximization stage.  Eligibility and probabilities are evaluated against
     the static initial cover.
     """
-    members = cover.communities()
-    eligible = {
-        c: mem
-        for c, mem in members.items()
-        if any(node_type[v] == NodeType.COMMUNITY for v in mem)
-    }
-    assignment = list(cover.assignment)
-    for v in range(g.n):
-        if node_type[v] != NodeType.BROKER:
-            continue
-        if assignment[v] in eligible:
-            continue  # seeding broker stays with its community
-        best_c = None
-        best_p = 0.0
-        tied = False
-        for c in sorted(eligible):
-            mem = eligible[c]
-            hits = sum(1 for u in g.adj[v] if u in mem)
-            if hits == 0:
-                continue
-            p = hits / len(mem)
-            if p > best_p:
-                best_c, best_p, tied = c, p, False
-            elif p == best_p:
-                tied = True
-        assignment[v] = UNASSIGNED if best_c is None or tied else best_c
+    labels = cover.assignment
+    size = Counter(labels)
+    eligible = {c for c, t in zip(labels, node_type) if t == NodeType.COMMUNITY}
+    assignment = list(labels)
+    for v, t in enumerate(node_type):
+        if t != NodeType.BROKER or labels[v] in eligible:
+            continue  # community nodes and seeding brokers keep their label
+        hits = Counter(labels[u] for u in g.adj[v] if labels[u] in eligible)
+        p = {c: h / size[c] for c, h in hits.items()}
+        top = max(p.values(), default=0.0)
+        best = [c for c in p if p[c] == top]
+        assignment[v] = best[0] if len(best) == 1 else UNASSIGNED
     return Cover(assignment)
 
 

@@ -50,19 +50,17 @@ class RunConfig:
 class ClusterAccumulator:
     """Incremental cut/volume state for one growing cluster."""
 
-    members: set[int]
     volume: int
     cut: int
 
     @classmethod
     def seeded(cls, g: Graph, v: int) -> "ClusterAccumulator":
         d = g.degree(v)
-        return cls(members={v}, volume=d, cut=d)
+        return cls(volume=d, cut=d)
 
-    def add(self, v: int, degree: int, edges_into_cluster: int) -> None:
-        """Absorb ``v``; the cut loses its edges into the cluster and gains
+    def add(self, degree: int, edges_into_cluster: int) -> None:
+        """Absorb a node; the cut loses its edges into the cluster and gains
         its outward edges."""
-        self.members.add(v)
         self.volume += degree
         self.cut += degree - 2 * edges_into_cluster
 
@@ -145,10 +143,34 @@ def run_traversal(g: Graph, cfg: RunConfig) -> TraversalResult:
     adj = g.adj
     comm = result.community
     ntype = result.node_type
-    use_cond = cfg.method == "cond"
-    r = cfg.threshold
-    twom = 2 * g.m
-    accumulators: dict[int, ClusterAccumulator] = {}
+
+    # A node belongs to cluster c exactly when comm[node] == c: community
+    # nodes carry their seed's label, and every other node keeps its own id,
+    # which names a processed seed only for that seed itself.
+    if cfg.method == "cond":
+        twom = 2 * g.m
+        clusters: dict[int, ClusterAccumulator] = {}
+
+        def joins(v: int, u: int) -> bool:
+            c = comm[v]
+            acc = clusters.get(c)
+            if acc is None:  # v is the seed of its cluster
+                acc = clusters[c] = ClusterAccumulator.seeded(g, v)
+            k_t = len(adj[u])
+            k_ts = sum(1 for w in adj[u] if comm[w] == c)
+            if classify_by_conductance(
+                k_t, k_ts, acc.volume, twom - acc.volume - k_t, acc.cut - k_ts
+            ):
+                acc.add(k_t, k_ts)
+                return True
+            return False
+
+    else:
+        r = cfg.threshold
+
+        def joins(v: int, u: int) -> bool:
+            score = result.ins[u] = ins_score(g, u, covered)
+            return score >= r
 
     # Restart nodes come from a degree-sorted list walked by a monotone
     # cursor, so selecting all of them costs O(n) total even on graphs with
@@ -172,13 +194,12 @@ def run_traversal(g: Graph, cfg: RunConfig) -> TraversalResult:
         ntype[v] = NodeType.BROKER
         result.ins[v] = 0.0
         result.discovery_order.append(v)
-        if use_cond:
-            accumulators[v] = ClusterAccumulator.seeded(g, v)
         return v
 
-    def process_ins(v: int) -> None:
+    def process(v: int) -> None:
         nonlocal cover_count
-        # Influence reaches the whole neighborhood before any of it is scored.
+        # Influence reaches the whole neighborhood before any of it is
+        # classified.
         for u in adj[v]:
             if not covered[u]:
                 covered[u] = 1
@@ -188,40 +209,7 @@ def run_traversal(g: Graph, cfg: RunConfig) -> TraversalResult:
         for u in adj[v]:
             if ntype[u] != NodeType.UNCATEGORIZED:
                 continue
-            score = ins_score(g, u, covered)
-            result.ins[u] = score
-            if score < r:
-                ntype[u] = NodeType.BROKER
-                stack.append(u)
-                new_brokers.append(u)
-            else:
-                ntype[u] = NodeType.COMMUNITY
-                comm[u] = comm[v]
-                queue.append(u)
-                new_comms.append(u)
-        result.discovery_order.extend(reversed(new_brokers))
-        result.discovery_order.extend(new_comms)
-
-    def process_cond(v: int) -> None:
-        nonlocal cover_count
-        acc = accumulators.get(comm[v])
-        if acc is None:
-            acc = ClusterAccumulator.seeded(g, v)
-            accumulators[comm[v]] = acc
-        members = acc.members
-        new_brokers: list[int] = []
-        new_comms: list[int] = []
-        for u in adj[v]:
-            if ntype[u] != NodeType.UNCATEGORIZED:
-                continue
-            k_t = len(adj[u])
-            k_ts = sum(1 for w in adj[u] if w in members)
-            alpha = acc.cut - k_ts
-            k_o = twom - acc.volume - k_t
-            covered[u] = 1
-            cover_count += 1
-            if classify_by_conductance(k_t, k_ts, acc.volume, k_o, alpha):
-                acc.add(u, k_t, k_ts)
+            if joins(v, u):
                 ntype[u] = NodeType.COMMUNITY
                 comm[u] = comm[v]
                 queue.append(u)
@@ -233,12 +221,6 @@ def run_traversal(g: Graph, cfg: RunConfig) -> TraversalResult:
         result.discovery_order.extend(reversed(new_brokers))
         result.discovery_order.extend(new_comms)
 
-    process = process_cond if use_cond else process_ins
-
-    v = open_component()
-    result.processing_order.append(v)
-    result.inspections += 1 + len(adj[v])
-    process(v)
     while cover_count < n:
         if queue:
             v = queue.popleft()

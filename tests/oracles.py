@@ -4,7 +4,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from commspread import Graph
+from commspread import Cover, Graph
+from commspread.cover import UNASSIGNED
+from commspread.traversal import NodeType
+
+
+def communities(cover: Cover) -> dict[int, set[int]]:
+    """Inverse index: community label -> member set (unassigned nodes left out)."""
+    index: dict[int, set[int]] = {}
+    for v, c in enumerate(cover.assignment):
+        if c != UNASSIGNED:
+            index.setdefault(c, set()).add(v)
+    return index
 
 
 def exact_conductance(g: Graph, members: set[int]) -> Fraction:
@@ -44,3 +55,37 @@ def delta_modularity(g: Graph, partition: list[int], v: int, target: int) -> flo
     return 2.0 * (in_tgt - in_cur) / w2 - 2.0 * k_v * (tot_tgt - tot_cur + k_v) / (
         w2 * w2
     )
+
+
+def allocate_brokers(g: Graph, cover: Cover, node_type: list[NodeType]) -> Cover:
+    """Broker allocation scored against every eligible community in turn.
+
+    The rule of :func:`commspread.refine.post_process`, evaluated directly
+    in O(brokers x communities): each broker outside an eligible community
+    joins the one maximizing |neighbors in community| / |community|, and
+    stays unassigned on a tie or with no neighbor in an eligible community.
+    """
+    eligible = {
+        c: mem
+        for c, mem in communities(cover).items()
+        if any(node_type[v] == NodeType.COMMUNITY for v in mem)
+    }
+    assignment = list(cover.assignment)
+    for v in range(g.n):
+        if node_type[v] != NodeType.BROKER or cover.assignment[v] in eligible:
+            continue
+        best_c = None
+        best_p = 0.0
+        tied = False
+        for c in sorted(eligible):
+            mem = eligible[c]
+            hits = sum(1 for u in g.adj[v] if u in mem)
+            if hits == 0:
+                continue
+            p = hits / len(mem)
+            if p > best_p:
+                best_c, best_p, tied = c, p, False
+            elif p == best_p:
+                tied = True
+        assignment[v] = UNASSIGNED if best_c is None or tied else best_c
+    return Cover(assignment)

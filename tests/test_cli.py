@@ -207,6 +207,16 @@ def test_bench_rejects_single_fraction(capsys, walkthrough_path):
     assert "two distinct fractions" in stderr
 
 
+def test_bench_rejects_fractions_with_one_edge_count(capsys, walkthrough_path):
+    # 0.5 and 0.51 of the 20 edges both sample 10 edges.
+    code, stdout, stderr = run_cli(
+        capsys, "bench", "--input", str(walkthrough_path), "--fractions", "0.5,0.51"
+    )
+    assert code == 2
+    assert "fewer than two distinct edge counts" in stderr
+    assert stdout == ""
+
+
 def test_bench_rejects_bad_fraction(capsys, walkthrough_path):
     code, _, _ = run_cli(
         capsys, "bench", "--input", str(walkthrough_path), "--fractions", "0.5,1.5"

@@ -7,10 +7,12 @@ import pytest
 from commspread import Cover, Graph, read_cover_file, write_cover_file
 from commspread.cover import UNASSIGNED, finalize
 
+from oracles import communities
+
 
 def test_communities_and_k():
     c = Cover([5, 5, 9])
-    assert c.communities() == {5: {0, 1}, 9: {2}}
+    assert communities(c) == {5: {0, 1}, 9: {2}}
     assert c.k == 2
     assert c.assignment[2] == 9
 
@@ -18,7 +20,7 @@ def test_communities_and_k():
 def test_with_singletons_promotes_unassigned():
     c = Cover([5, 5, UNASSIGNED, UNASSIGNED])
     assert c.unassigned == [2, 3]
-    assert c.communities() == {5: {0, 1}}
+    assert communities(c) == {5: {0, 1}}
     assert c.k == 1
     full = c.with_singletons()
     assert full.assignment == [5, 5, 2, 3]

@@ -9,6 +9,7 @@ from commspread import Cover, Graph, cover_stats, load_edge_list, louvain, modul
 from commspread.cover import UNASSIGNED
 
 from conftest import random_graph, random_partition
+from oracles import communities, exact_conductance
 
 nx = pytest.importorskip("networkx")
 
@@ -56,7 +57,7 @@ def test_modularity_matches_networkx_random():
             continue
         part = random_partition(rng, g.n, rng.randrange(1, 5))
         cover = Cover(part)
-        groups = [set(mem) for mem in cover.communities().values()]
+        groups = [set(mem) for mem in communities(cover).values()]
         expected = nx.algorithms.community.modularity(to_networkx(g), groups)
         assert modularity(g, cover) == pytest.approx(expected, abs=1e-12)
 
@@ -103,3 +104,22 @@ def test_cover_stats_fields():
     assert stats.modularity == pytest.approx(5 / 14)
     assert stats.conductances[0] == pytest.approx(1 / 7)
     assert stats.conductances[1] == pytest.approx(1 / 7)
+
+
+def test_cover_stats_conductance_equals_exact_oracle():
+    # Both sides are correctly rounded quotients of the same integers, so
+    # they compare exactly.  One-community covers leave volume 0 outside,
+    # and the last two nodes are isolated.
+    rng = random.Random(23)
+    for trial in range(60):
+        n = rng.randrange(1, 16)
+        p = rng.uniform(0.0, 0.7)
+        edges = [(str(u), str(v)) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = Graph.from_edges(edges, extra_nodes=[str(v) for v in range(n + 2)])
+        k = 1 if trial % 5 == 0 else rng.randrange(1, g.n + 1)
+        cover = Cover(random_partition(rng, g.n, k))
+        stats = cover_stats(g, cover)
+        members = communities(cover)
+        assert stats.sizes == {c: len(mem) for c, mem in members.items()}
+        for c, mem in members.items():
+            assert stats.conductances[c] == float(exact_conductance(g, mem))

@@ -1,13 +1,30 @@
 """Property tests over edge-case graph families and small random graphs."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commspread import Cover, Graph, RunConfig, detect, label_propagation, louvain, modularity
+from commspread import (
+    Cover,
+    Graph,
+    RunConfig,
+    detect,
+    label_propagation,
+    louvain,
+    modularity,
+    run_traversal,
+)
 from commspread.cover import UNASSIGNED
-from commspread.refine import MOVE_TOLERANCE, _local_moves, reduce_graph
+from commspread.refine import (
+    MOVE_TOLERANCE,
+    _local_moves,
+    initial_cover,
+    post_process,
+    reduce_graph,
+    refine_cover,
+)
 
-from oracles import delta_modularity
+from oracles import allocate_brokers, delta_modularity
 
 
 def build(n: int, edges) -> Graph:
@@ -54,6 +71,12 @@ ALGORITHMS = {
 }
 
 
+def covers(g: Graph, unassigned: bool = False):
+    """Random covers of ``g`` with up to four labels, optionally with -1."""
+    low = UNASSIGNED if unassigned else 0
+    return st.lists(st.integers(low, 3), min_size=g.n, max_size=g.n).map(Cover)
+
+
 @settings(deadline=None)
 @given(GRAPHS, st.sampled_from(sorted(ALGORITHMS)))
 def test_cover_is_dense_partition_with_bounded_modularity(g, name):
@@ -75,9 +98,34 @@ def test_detect_is_deterministic(g, method, run_modmax):
 @given(GRAPHS, st.data())
 def test_local_moves_converge_to_no_improving_move(g, data):
     # Contracting a random cover first gives weighted graphs with self-loops.
-    labels = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
-    for level in (g, reduce_graph(g, Cover(labels)).graph):
+    for level in (g, reduce_graph(g, data.draw(covers(g))).graph):
         partition = _local_moves(level)
         for v in range(level.n):
             for c in {partition[u] for u in level.adj[v]}:
                 assert delta_modularity(level, partition, v, c) <= MOVE_TOLERANCE
+
+
+@settings(deadline=None)
+@given(GRAPHS, st.sampled_from(["ins", "cond"]), st.sampled_from([0.5, 0.7, 1.0]))
+def test_allocation_equals_brute_force_oracle(g, method, threshold):
+    tr = run_traversal(g, RunConfig(method=method, threshold=threshold))
+    cover = initial_cover(tr)
+    expected = allocate_brokers(g, cover, tr.node_type).assignment
+    assert post_process(g, cover, tr.node_type).assignment == expected
+
+
+@settings(deadline=None)
+@given(GRAPHS, st.data())
+def test_contraction_preserves_modularity(g, data):
+    cover = data.draw(covers(g, unassigned=True))
+    reduced = reduce_graph(g, cover).graph
+    q = modularity(g, cover.with_singletons())
+    assert modularity(reduced, Cover.singletons(reduced)) == pytest.approx(q, abs=1e-12)
+
+
+@settings(deadline=None)
+@given(GRAPHS, st.data())
+def test_refine_cover_never_lowers_modularity(g, data):
+    cover = data.draw(covers(g, unassigned=True))
+    before = modularity(g, cover.with_singletons())
+    assert modularity(g, refine_cover(g, cover)) >= before - 1e-12

@@ -17,7 +17,7 @@ from commspread.refine import (
 from commspread.traversal import NodeType
 
 from conftest import random_graph, random_partition
-from oracles import delta_modularity
+from oracles import communities, delta_modularity
 
 
 def graph(text: str) -> Graph:
@@ -145,7 +145,7 @@ def test_maximize_modularity_splits_two_cliques():
     edges.append("d e")
     g = graph("\n".join(edges) + "\n")
     cover = maximize_modularity(reduce_graph(g, Cover.singletons(g)))
-    comms = sorted(sorted(m) for m in cover.communities().values())
+    comms = sorted(sorted(m) for m in communities(cover).values())
     assert comms == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
 
@@ -168,5 +168,5 @@ def test_refine_cover_seeds_from_cover():
     g = graph("a b\nb c\nc a\nd e\ne f\nf d\nc d\n")
     cover = Cover([0, 0, 0, 1, 1, 1])
     refined = refine_cover(g, cover)
-    comms = sorted(sorted(m) for m in refined.communities().values())
+    comms = sorted(sorted(m) for m in communities(refined).values())
     assert comms == [[0, 1, 2], [3, 4, 5]]
