@@ -9,10 +9,13 @@ its own ``src/`` on ``PYTHONPATH``.  A run records the sha256 of the cover
 file written by every algorithm of ``tests/test_golden_covers.py`` (detect
 ins, cond and ins without modmax, ``louvain``, ``label_propagation``), of
 every ``TraversalResult`` field under ins and cond, and of the
-``cover_stats`` of a seeded random partition.  It does so for the
-shipped datasets and for N seeded random graphs (Erdos-Renyi and planted
-partitions, some with isolated nodes).  Every difference is printed, and
-the exit status is 1 if there is one, else 0.
+``cover_stats`` of a seeded random partition, and the modularity of every
+cover next to its digest.  It does so for the shipped datasets and for N
+seeded random graphs (Erdos-Renyi and planted partitions, some with
+isolated nodes).  Every difference is printed, a differing cover with its
+old -> new Q, and the last line counts the differing covers whose Q rose
+and fell and gives the largest fall.  The exit status is 1 if anything
+differs, else 0.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def digests(graphs: int, seed: int) -> dict[str, str]:
-    """Digest of every result, keyed ``graph/algorithm[/field]``."""
+def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
+    """Digest of every result and Q of every cover, keyed ``graph/algorithm[/field]``."""
     from commspread import (
         Cover,
         Graph,
@@ -75,6 +78,7 @@ def digests(graphs: int, seed: int) -> dict[str, str]:
         label_propagation,
         load_edge_list,
         louvain,
+        modularity,
         run_traversal,
         write_cover_file,
     )
@@ -97,25 +101,26 @@ def digests(graphs: int, seed: int) -> dict[str, str]:
         edges, nodes = random_edges(random.Random(seed * 1_000_003 + i))
         cases.append((f"random{i}", Graph.from_edges(edges, extra_nodes=nodes)))
 
-    out: dict[str, str] = {}
+    out: dict[str, tuple[str, float | None]] = {}
     for name, g in cases:
         for alg, run in algorithms.items():
+            cover = run(g)
             text = io.StringIO()
-            write_cover_file(g, run(g), text)
-            out[f"{name}/{alg}"] = sha(text.getvalue())
+            write_cover_file(g, cover, text)
+            out[f"{name}/{alg}"] = (sha(text.getvalue()), modularity(g, cover))
         for method in ("ins", "cond"):
             result = run_traversal(g, RunConfig(method=method, threshold=0.75))
             for field in TRAVERSAL_FIELDS:
                 value = getattr(result, field)
-                out[f"{name}/traversal-{method}/{field}"] = sha(json.dumps(value))
+                out[f"{name}/traversal-{method}/{field}"] = (sha(json.dumps(value)), None)
         rng = random.Random(name)
         k = rng.randrange(1, g.n + 1) if g.n else 1
         stats = cover_stats(g, Cover([rng.randrange(k) for _ in range(g.n)]))
-        out[f"{name}/cover_stats"] = sha(json.dumps(asdict(stats), sort_keys=True))
+        out[f"{name}/cover_stats"] = (sha(json.dumps(asdict(stats), sort_keys=True)), None)
     return out
 
 
-def run_tree(src: pathlib.Path, graphs: int, seed: int) -> dict[str, str]:
+def run_tree(src: pathlib.Path, graphs: int, seed: int) -> dict[str, list]:
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, __file__, "--digest", "--graphs", str(graphs), "--seed", str(seed)],
@@ -151,12 +156,23 @@ def main() -> int:
         old = run_tree(pathlib.Path(tmp) / "src", args.graphs, args.seed)
     new = run_tree(ROOT / "src", args.graphs, args.seed)
 
-    differences = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
+    missing = ("missing", None)
+    pairs = {key: (old.get(key, missing), new.get(key, missing)) for key in old.keys() | new.keys()}
+    differences = sorted(key for key, (a, b) in pairs.items() if a[0] != b[0])
+    changes = []  # new Q - old Q of each differing cover
     for key in differences:
-        print(f"differs: {key} ({old.get(key, 'missing')[:12]} -> {new.get(key, 'missing')[:12]})")
+        (old_sha, old_q), (new_sha, new_q) = pairs[key]
+        line = f"differs: {key} ({old_sha[:12]} -> {new_sha[:12]})"
+        if old_q is not None and new_q is not None:
+            changes.append(new_q - old_q)
+            line += f" Q {old_q:.6f} -> {new_q:.6f}"
+        print(line)
+    falls = [-d for d in changes if d < 0]
     print(
         f"{len(new)} digests over {len(DATASETS)} datasets and {args.graphs} random graphs: "
-        f"{len(differences)} differ from {args.rev}"
+        f"{len(differences)} differ from {args.rev}; of {len(changes)} differing covers "
+        f"Q rose on {sum(d > 0 for d in changes)} and fell on {len(falls)}, "
+        f"largest fall {max(falls, default=0.0):.6f}"
     )
     return 1 if differences else 0
 

@@ -36,7 +36,8 @@ class Graph:
     ``adj[v]`` is the sorted list of internal neighbor ids of ``v`` (never
     ``v`` itself) and ``weights[v]`` is parallel to it.  ``self_loops[v]`` is
     the self-loop weight of ``v``.  ``labels`` maps dense internal ids back
-    to the external string labels and ``index`` maps them forward.
+    to the external string labels and ``index`` maps them forward; both are
+    empty on contracted graphs, whose nodes are known only by id.
     """
 
     adj: list[list[int]]
@@ -96,13 +97,13 @@ class Graph:
         self_loops: list[float],
         **fields,
     ) -> "Graph":
-        """Graph on ``len(labels)`` nodes from ``{(u, v): weight}`` with u < v.
+        """Graph on ``len(self_loops)`` nodes from ``{(u, v): weight}`` with u < v.
 
         Appending the edges in ascending ``(u, v)`` order leaves every
         adjacency list sorted.  ``fields`` pass the load report and the
         label index through.
         """
-        n = len(labels)
+        n = len(self_loops)
         adj: list[list[int]] = [[] for _ in range(n)]
         weights: list[list[float]] = [[] for _ in range(n)]
         for u, v in sorted(edges):
@@ -155,16 +156,13 @@ class Graph:
 
     @classmethod
     def weighted(
-        cls,
-        n: int,
-        edges: dict[tuple[int, int], float],
-        self_loops: list[float],
+        cls, edges: dict[tuple[int, int], float], self_loops: list[float]
     ) -> "Graph":
-        """Build a weighted graph from ``{(u, v): weight}`` with u < v.
+        """Weighted graph on ``len(self_loops)`` nodes from ``{(u, v): weight}``, u < v.
 
-        Used for reduced (contracted) graphs; node labels are the ids.
+        Used for reduced (contracted) graphs, which carry no labels.
         """
-        return cls._build([str(i) for i in range(n)], edges, self_loops)
+        return cls._build([], edges, self_loops)
 
     # -- operations ---------------------------------------------------------
 

@@ -3,7 +3,7 @@ greedy modularity maximization."""
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .cover import UNASSIGNED, Cover
@@ -90,7 +90,7 @@ def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
                 cross[key] = cross.get(key, 0.0) + w
 
     return ReducedGraph(
-        graph=Graph.weighted(len(self_loops), cross, self_loops),
+        graph=Graph.weighted(cross, self_loops),
         label_map=list(super_of_label),
         member_map=node_super,
     )
@@ -99,57 +99,73 @@ def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
 def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
     """One level of greedy moves starting from ``initial`` (default singletons).
 
-    Sweeps vertices in ascending id; each vertex takes the neighbor community
-    with the largest positive gain (ties: smallest community label).  Stops
-    when a full sweep makes no move.
+    A FIFO queue holds the vertices to evaluate, first ``0..n-1`` in
+    ascending order.  A popped vertex takes the neighbor community with the
+    largest gain over staying, if that gain exceeds the tolerance (ties:
+    smallest community label); when it moves, its neighbors outside the
+    new community join the queue unless already queued.  A move also changes
+    a community total, which affects vertices that are not neighbors, so
+    when the queue empties after a move it is refilled with ``0..n-1``: the
+    level ends only after a full pass in which no vertex moved.
     """
     n = g.n
     partition = list(range(n)) if initial is None else list(initial)
-    strength = [g.strength(v) for v in range(n)]
+    adj, weights = g.adj, g.weights
+    strength = [sum(ws) + loop for ws, loop in zip(weights, g.self_loops)]
+    # Labels of an arbitrary initial cover may exceed n, so totals are keyed.
     tot: dict[int, float] = {}
-    for v in range(n):
-        tot[partition[v]] = tot.get(partition[v], 0.0) + strength[v]
+    for c, s in zip(partition, strength):
+        tot[c] = tot.get(c, 0.0) + s
     w2 = sum(strength)
     if w2 == 0:
         return partition
 
-    adj, weights = g.adj, g.weights
-    moved = True
-    while moved:
-        moved = False
-        for v in range(n):
-            cur = partition[v]
-            weight_to: dict[int, float] = {}
-            for u, w in zip(adj[v], weights[v]):
-                weight_to[partition[u]] = weight_to.get(partition[u], 0.0) + w
-            in_cur = weight_to.get(cur, 0.0)
-            tot_cur_less = tot[cur] - strength[v]
-            # Candidates in ascending label order, so the first maximal gain
-            # seen is already the smallest-label tie winner.
-            best_c, best_gain = cur, 0.0
-            for c in sorted(weight_to):
-                if c == cur:
-                    continue
-                gain = 2.0 * (weight_to[c] - in_cur) / w2 - 2.0 * strength[v] * (
-                    tot[c] - tot_cur_less
-                ) / (w2 * w2)
-                if gain > best_gain + MOVE_TOLERANCE:
-                    best_c, best_gain = c, gain
-            if best_c != cur and best_gain > MOVE_TOLERANCE:
-                partition[v] = best_c
-                tot[cur] -= strength[v]
-                tot[best_c] += strength[v]
-                moved = True
+    # Moving v from cur to c changes Q by 2/w2 times the difference of the
+    # reduced gains k_{v,c} - s_v tot_c / w2 (totals exclude v), so the
+    # tolerance on Q is MOVE_TOLERANCE * w2 / 2 on that scale.
+    tolerance = MOVE_TOLERANCE * w2 / 2.0
+    queue = deque(range(n))
+    queued = [True] * n
+    moved = False
+    while queue:
+        v = queue.popleft()
+        queued[v] = False
+        cur = partition[v]
+        weight_to: dict[int, float] = {}
+        for u, w in zip(adj[v], weights[v]):
+            c = partition[u]
+            weight_to[c] = weight_to.get(c, 0.0) + w
+        s_frac = strength[v] / w2
+        stay = weight_to.pop(cur, 0.0) - (tot[cur] - strength[v]) * s_frac
+        best_c, best_gain = cur, stay
+        for c, k in weight_to.items():
+            gain = k - tot[c] * s_frac
+            if gain > best_gain or (gain == best_gain and c < best_c):
+                best_c, best_gain = c, gain
+        if best_gain - stay > tolerance:
+            partition[v] = best_c
+            tot[cur] -= strength[v]
+            tot[best_c] += strength[v]
+            moved = True
+            for u in adj[v]:
+                if not queued[u] and partition[u] != best_c:
+                    queued[u] = True
+                    queue.append(u)
+        if not queue and moved:
+            queue.extend(range(n))
+            queued = [True] * n
+            moved = False
     return partition
 
 
 def refine_cover(g: Graph, cover: Cover) -> Cover:
     """Multilevel greedy modularity maximization seeded from ``cover``.
 
-    Runs node-level move sweeps on ``g`` starting from the cover (unassigned
-    nodes enter as singletons), then contracts the result and continues with
-    super-vertex sweeps until no level improves.  Communities keep the label
-    of their smallest original member's seed community.
+    Runs the queue-driven local moves of :func:`_local_moves` on ``g``
+    starting from the cover (unassigned nodes enter as singletons), then
+    contracts the result and continues on the super-vertex levels of
+    :func:`maximize_modularity`.  Communities keep the label of their
+    smallest original member's seed community.
     """
     partition = _local_moves(g, cover.with_singletons().assignment)
     return maximize_modularity(reduce_graph(g, Cover(partition)))
@@ -158,10 +174,12 @@ def refine_cover(g: Graph, cover: Cover) -> Cover:
 def maximize_modularity(rg: ReducedGraph) -> Cover:
     """Multilevel greedy modularity maximization over a reduced graph.
 
-    Runs local move sweeps, contracts the resulting partition, and repeats
-    until a level makes no move.  Returns a cover over the original node ids
-    that entered :func:`reduce_graph`, labeled by community label of the
-    smallest original member.
+    Runs :func:`_local_moves` from singletons on each level, contracts the
+    resulting partition, and repeats until a level ends with every vertex
+    still a singleton, that is, after a full pass in which no vertex moved.
+    Returns a cover over the original node ids that entered
+    :func:`reduce_graph`, labeled by community label of the smallest
+    original member.
     """
     node_super = rg.member_map  # original node -> current-level vertex
     level = rg.graph

@@ -163,7 +163,7 @@ def big_graph() -> Graph:
         v = rng.randrange(n)
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    return Graph.weighted(n, dict.fromkeys(edges, 1.0), [0.0] * n)
+    return Graph.weighted(dict.fromkeys(edges, 1.0), [0.0] * n)
 
 
 def _load_reference():

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from commspread import Graph, label_propagation, load_edge_list, louvain, modularity
+from commspread import Cover, Graph, label_propagation, load_edge_list, louvain, modularity
 
-from conftest import random_graph
+from conftest import load_dataset, random_graph
 from oracles import communities
 
 
@@ -65,3 +65,19 @@ def test_louvain_quality_on_karate(karate):
 
 def test_louvain_empty_graph():
     assert louvain(Graph.from_edges([])).assignment == []
+
+
+@pytest.mark.parametrize("name", ["karate", "lesmis", "walkthrough13"])
+def test_louvain_matches_networkx(name):
+    nx = pytest.importorskip("networkx")
+    g = load_dataset(name)
+    ng = nx.Graph(g.edges())
+    ng.add_nodes_from(range(g.n))
+    best = 0.0
+    for seed in range(5):
+        label = [0] * g.n
+        for c, members in enumerate(nx.community.louvain_communities(ng, seed=seed)):
+            for v in members:
+                label[v] = c
+        best = max(best, modularity(g, Cover(label)))
+    assert modularity(g, louvain(g)) >= best - 0.01

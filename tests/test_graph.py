@@ -83,7 +83,7 @@ def test_sample_edges_subset_of_original(karate):
 
 
 def test_weighted_graph_strength_and_total_weight():
-    g = Graph.weighted(3, {(1, 2): 0.5, (0, 1): 2.0}, [4.0, 0.0, 0.0])
+    g = Graph.weighted({(1, 2): 0.5, (0, 1): 2.0}, [4.0, 0.0, 0.0])
     assert g.strength(0) == 6.0
     assert g.strength(1) == 2.5
     assert g.total_weight() == 6.0 + 2.5 + 0.5

@@ -106,6 +106,23 @@ def test_local_moves_converge_to_no_improving_move(g, data):
 
 
 @settings(deadline=None)
+@given(GRAPHS, st.data())
+def test_local_moves_is_idempotent(g, data):
+    for level in (g, reduce_graph(g, data.draw(covers(g))).graph):
+        partition = _local_moves(level, data.draw(covers(level)).assignment)
+        assert _local_moves(level, partition) == partition
+
+
+@settings(deadline=None)
+@given(GRAPHS, st.data())
+def test_local_moves_never_lower_modularity(g, data):
+    for level in (g, reduce_graph(g, data.draw(covers(g))).graph):
+        initial = data.draw(covers(level))
+        partition = _local_moves(level, initial.assignment)
+        assert modularity(level, Cover(partition)) >= modularity(level, initial) - 1e-12
+
+
+@settings(deadline=None)
 @given(GRAPHS, st.sampled_from(["ins", "cond"]), st.sampled_from([0.5, 0.7, 1.0]))
 def test_allocation_equals_brute_force_oracle(g, method, threshold):
     tr = run_traversal(g, RunConfig(method=method, threshold=threshold))

@@ -8,6 +8,8 @@ import pytest
 from commspread import Cover, Graph, RunConfig, load_edge_list, modularity, run_traversal
 from commspread.cover import UNASSIGNED
 from commspread.refine import (
+    MOVE_TOLERANCE,
+    _local_moves,
     initial_cover,
     maximize_modularity,
     post_process,
@@ -134,6 +136,18 @@ def test_delta_modularity_matches_recompute():
 def test_delta_modularity_same_community_is_zero():
     g = graph("a b\nb c\n")
     assert delta_modularity(g, [0, 0, 1], 0, 0) == 0.0
+
+
+def test_local_moves_end_on_a_full_pass_without_moves():
+    # Re-examining only the neighbors of moved vertices leaves vertex 1 with
+    # an improving move into community 4: the last move, of vertex 2 (not a
+    # neighbor of 1) into 1's community, raised that community's total.  The
+    # closing full pass finds the move.
+    g = graph("0 2\n0 3\n0 4\n0 5\n1 2\n1 3\n2 4\n4 5\n")
+    partition = _local_moves(g)
+    for v in range(g.n):
+        for c in set(partition):
+            assert delta_modularity(g, partition, v, c) <= MOVE_TOLERANCE
 
 
 def test_maximize_modularity_splits_two_cliques():
