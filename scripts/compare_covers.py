@@ -10,12 +10,17 @@ file written by every algorithm of ``tests/test_golden_covers.py`` (detect
 ins, cond and ins without modmax, ``louvain``, ``label_propagation``), of
 every ``TraversalResult`` field under ins and cond, and of the
 ``cover_stats`` of a seeded random partition, and the modularity of every
-cover next to its digest.  It does so for the shipped datasets and for N
-seeded random graphs (Erdos-Renyi and planted partitions, some with
-isolated nodes).  Every difference is printed, a differing cover with its
-old -> new Q, and the last line counts the differing covers whose Q rose
-and fell and gives the largest fall.  The exit status is 1 if anything
-differs, else 0.
+cover next to its digest.  It also digests every graph it builds
+(adjacency, weights, self-loops, labels and load report) and the
+``reduce_graph`` results of the singleton cover and of a seeded random
+cover with unassigned nodes.  That cover is shaped like the pipeline's:
+each label is the id of one of its members, so no unassigned node's id is
+a label.  It does so for the shipped datasets and for N seeded random
+graphs (Erdos-Renyi and planted partitions, some with isolated nodes, with
+a few duplicate edges and self-loops in the edge list).  Every difference
+is printed, a differing cover with its old -> new Q, and the last line
+counts the differing covers whose Q rose and fell and gives the largest
+fall.  The exit status is 1 if anything differs, else 0.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ TRAVERSAL_FIELDS = (
 
 
 def random_edges(rng: random.Random) -> tuple[list[tuple[str, str]], list[str]]:
-    """A small seeded graph as labeled edges plus its full node list."""
+    """A small seeded edge list with a few duplicates and self-loops, plus its node list."""
     n = rng.randrange(1, 80)
     if rng.random() < 0.5:
         p = rng.uniform(0.02, 0.4)
@@ -60,11 +65,32 @@ def random_edges(rng: random.Random) -> tuple[list[tuple[str, str]], list[str]]:
             for v in range(u + 1, n)
             if rng.random() < (p_in if u % groups == v % groups else p_out)
         ]
+    # Loader irregularities at the end: repeats in reverse orientation and
+    # self-loops, which the built graph drops and counts.
+    pairs += [(v, u) for u, v in rng.sample(pairs, len(pairs) // 10)]
+    pairs += [(u, u) for u in rng.sample(range(n), n // 10)]
     return [(str(u), str(v)) for u, v in pairs], [str(v) for v in range(n)]
 
 
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def structure(g) -> list:
+    """The weighted structure of a graph, which contracted graphs are known by."""
+    return [g.adj, g.weights, g.self_loops]
+
+
+def seeded_cover(rng: random.Random, n: int) -> list[int]:
+    """Random labels named after a member of their community, some nodes -1."""
+    if n == 0:
+        return []
+    seeds = rng.sample(range(n), rng.randrange(1, n + 1))
+    labels = [rng.choice(seeds) for _ in range(n)]
+    for s in seeds:
+        labels[s] = s
+    seeds = set(seeds)
+    return [-1 if v not in seeds and rng.random() < 0.2 else c for v, c in enumerate(labels)]
 
 
 def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
@@ -82,6 +108,7 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
         run_traversal,
         write_cover_file,
     )
+    from commspread.refine import reduce_graph
 
     algorithms = {
         "ins": lambda g: detect(g, RunConfig(method="ins", threshold=0.75)).cover,
@@ -103,6 +130,16 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
 
     out: dict[str, tuple[str, float | None]] = {}
     for name, g in cases:
+        graph = structure(g) + [g.labels, asdict(g.load_report)]
+        out[f"{name}/graph"] = (sha(json.dumps(graph)), None)
+        rng = random.Random(f"{name}/reduce")
+        for cover_name, cover in (
+            ("singletons", Cover.singletons(g)),
+            ("seeded", Cover(seeded_cover(rng, g.n))),
+        ):
+            rg = reduce_graph(g, cover)
+            text = json.dumps(structure(rg.graph) + [rg.label_map, rg.member_map])
+            out[f"{name}/reduce-{cover_name}"] = (sha(text), None)
         for alg, run in algorithms.items():
             cover = run(g)
             text = io.StringIO()

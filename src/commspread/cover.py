@@ -31,10 +31,25 @@ class Cover:
         return len(set(self.assignment) - {UNASSIGNED})
 
     def with_singletons(self) -> "Cover":
-        """Promote every unassigned node to its own singleton community."""
-        if UNASSIGNED not in self.assignment:
+        """Promote every unassigned node to its own singleton community.
+
+        An unassigned node ``v`` takes label ``v`` unless some node already
+        carries it; such nodes take fresh labels above the largest label, in
+        ascending node order.
+        """
+        labels = self.assignment
+        if UNASSIGNED not in labels:
             return self
-        return Cover([v if c == UNASSIGNED else c for v, c in enumerate(self.assignment)])
+        carried = set(labels)
+        promoted = [
+            v if c == UNASSIGNED and v not in carried else c for v, c in enumerate(labels)
+        ]
+        fresh = max(promoted) + 1
+        for v, c in enumerate(promoted):
+            if c == UNASSIGNED:
+                promoted[v] = fresh
+                fresh += 1
+        return Cover(promoted)
 
     @classmethod
     def singletons(cls, g: Graph) -> "Cover":

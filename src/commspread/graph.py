@@ -95,13 +95,13 @@ class Graph:
         labels: list[str],
         edges: dict[tuple[int, int], float],
         self_loops: list[float],
-        **fields,
+        index: Optional[dict[str, int]] = None,
     ) -> "Graph":
         """Graph on ``len(self_loops)`` nodes from ``{(u, v): weight}`` with u < v.
 
         Appending the edges in ascending ``(u, v)`` order leaves every
-        adjacency list sorted.  ``fields`` pass the load report and the
-        label index through.
+        adjacency list sorted.  Used for weighted and sampled graphs;
+        :meth:`from_edges` builds input graphs directly.
         """
         n = len(self_loops)
         adj: list[list[int]] = [[] for _ in range(n)]
@@ -112,46 +112,58 @@ class Graph:
             weights[u].append(w)
             adj[v].append(u)
             weights[v].append(w)
-        return cls(adj=adj, weights=weights, self_loops=self_loops, labels=labels, **fields)
+        return cls(adj=adj, weights=weights, self_loops=self_loops, labels=labels, index=index)
 
     @classmethod
     def from_edges(
         cls,
-        edges: Iterable[tuple[str, str]],
+        edges: Iterable[Sequence[str]],
         extra_nodes: Sequence[str] = (),
     ) -> "Graph":
         """Build a simple unit-weight graph from labeled edges.
 
         Duplicate edges collapse to one and self-loops are dropped; both are
         counted in the load report.  Internal ids follow first appearance.
+        Each edge is appended to both endpoints' lists as it is read; the
+        lists are then sorted and deduplicated, and a repeated edge shrinks
+        each of its two endpoints' lists by one.
         """
         index: dict[str, int] = {}
-        labels: list[str] = []
-
-        def intern(lab: str) -> int:
-            i = index.get(lab)
-            if i is None:
-                i = len(labels)
-                index[lab] = i
-                labels.append(lab)
-            return i
-
-        report = LoadReport()
-        edge_weights: dict[tuple[int, int], float] = {}
+        adj: list[list[int]] = []
+        self_loops = 0
         for a, b in edges:
-            u, v = intern(a), intern(b)
+            u = index.get(a)
+            if u is None:
+                u = index[a] = len(adj)
+                adj.append([])
+            v = index.get(b)
+            if v is None:
+                v = index[b] = len(adj)
+                adj.append([])
             if u == v:
-                report.self_loops += 1
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in edge_weights:
-                report.duplicate_edges += 1
+                self_loops += 1
             else:
-                edge_weights[key] = 1.0
+                adj[u].append(v)
+                adj[v].append(u)
         for lab in extra_nodes:
-            intern(lab)
-        return cls._build(
-            labels, edge_weights, [0.0] * len(labels), load_report=report, index=index
+            if lab not in index:
+                index[lab] = len(adj)
+                adj.append([])
+
+        shrinkage = 0
+        weights: list[list[float]] = []
+        for u, nbrs in enumerate(adj):
+            unique = adj[u] = sorted(set(nbrs))
+            shrinkage += len(nbrs) - len(unique)
+            weights.append([1.0] * len(unique))
+        report = LoadReport(duplicate_edges=shrinkage // 2, self_loops=self_loops)
+        return cls(
+            adj=adj,
+            weights=weights,
+            self_loops=[0.0] * len(adj),
+            labels=list(index),
+            load_report=report,
+            index=index,
         )
 
     @classmethod
@@ -204,14 +216,13 @@ def load_edge_list(stream: IO) -> Graph:
         for lineno, raw in enumerate(stream, start=1):
             if isinstance(raw, bytes):
                 raw = raw.decode("utf-8")
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            tokens = raw.split()
+            if not tokens or tokens[0][0] == "#":
                 continue
-            tokens = line.split()
             if len(tokens) != 2:
                 raise GraphParseError(
-                    lineno, f"expected 2 tokens, found {len(tokens)}: {line!r}"
+                    lineno, f"expected 2 tokens, found {len(tokens)}: {raw.strip()!r}"
                 )
-            yield tokens[0], tokens[1]
+            yield tokens
 
     return Graph.from_edges(lines())

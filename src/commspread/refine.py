@@ -64,7 +64,8 @@ def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
     weight (pre-existing self-loops carry over), inter-community weight
     becomes a cross edge; total weight is conserved.  Unassigned nodes are
     promoted to singleton communities first.  Super-vertices are ordered by
-    the smallest member id of their community.
+    the smallest member id of their community.  A cover of singletons
+    contracts to ``g`` itself, not to a copy.
     """
     # Ascending node order meets each community first at its smallest member.
     super_of_label: dict[int, int] = {}
@@ -72,6 +73,9 @@ def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
         super_of_label.setdefault(c, len(super_of_label))
         for c in cover.with_singletons().assignment
     ]
+    if len(super_of_label) == g.n:
+        # Every community is one node: the contraction would copy g exactly.
+        return ReducedGraph(graph=g, label_map=list(super_of_label), member_map=node_super)
 
     self_loops = [0.0] * len(super_of_label)
     cross: dict[tuple[int, int], float] = {}

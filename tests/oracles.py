@@ -6,7 +6,49 @@ from fractions import Fraction
 
 from commspread import Cover, Graph
 from commspread.cover import UNASSIGNED
+from commspread.graph import LoadReport
 from commspread.traversal import NodeType
+
+
+def graph_from_edges(edges, extra_nodes=()) -> Graph:
+    """Simple unit-weight graph built through one sorted key per edge.
+
+    The rule of :meth:`commspread.Graph.from_edges`, evaluated directly:
+    labels get ids in order of first appearance, each undirected pair is
+    one ``(u, v)`` key with u < v (a repeat counts as a duplicate, a
+    self-loop is counted and dropped), and the keys are appended in sorted
+    order, which leaves every adjacency list sorted.
+    """
+    index: dict[str, int] = {}
+
+    def intern(lab: str) -> int:
+        return index.setdefault(lab, len(index))
+
+    report = LoadReport()
+    keys: set[tuple[int, int]] = set()
+    for a, b in edges:
+        u, v = intern(a), intern(b)
+        if u == v:
+            report.self_loops += 1
+        elif (min(u, v), max(u, v)) in keys:
+            report.duplicate_edges += 1
+        else:
+            keys.add((min(u, v), max(u, v)))
+    for lab in extra_nodes:
+        intern(lab)
+    n = len(index)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in sorted(keys):
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph(
+        adj=adj,
+        weights=[[1.0] * len(nbrs) for nbrs in adj],
+        self_loops=[0.0] * n,
+        labels=list(index),
+        load_report=report,
+        index=index,
+    )
 
 
 def communities(cover: Cover) -> dict[int, set[int]]:

@@ -29,6 +29,13 @@ def test_with_singletons_promotes_unassigned():
     assert Cover([1]).with_singletons().assignment == [1]
 
 
+def test_with_singletons_never_joins_an_existing_community():
+    # Node 1's own id is node 2's label, so node 1 takes a fresh label.
+    assert Cover([0, UNASSIGNED, 1]).with_singletons().assignment == [0, 2, 1]
+    # Fresh labels start above every label, including the kept node ids.
+    assert Cover([1, UNASSIGNED, UNASSIGNED]).with_singletons().assignment == [1, 3, 2]
+
+
 def test_singletons_constructor():
     g = Graph.from_edges([("a", "b"), ("b", "c")])
     assert Cover.singletons(g).assignment == [0, 1, 2]

@@ -35,6 +35,25 @@ def test_malformed_line_reports_line_number():
     assert "expected 2 tokens" in str(exc.value)
 
 
+def test_bad_line_number_counts_blank_and_comment_lines():
+    with pytest.raises(GraphParseError) as exc:
+        parse("# header\n\na b\n  # indented\n\t\nc\n")
+    assert exc.value.line_number == 6
+    assert str(exc.value) == "line 6: expected 2 tokens, found 1: 'c'"
+
+
+def test_bytes_stream_decoded_as_utf8():
+    g = load_edge_list(io.BytesIO("a b\nb \u00e9\n".encode("utf-8")))
+    assert g.labels == ["a", "b", "\u00e9"]
+    assert g.m == 2
+
+
+def test_crlf_tabs_and_indented_comments():
+    g = parse("a\tb\r\n  # comment\r\n\tb \t c\r\n\r\n")
+    assert g.labels == ["a", "b", "c"]
+    assert g.adj == [[1], [0, 2], [1]]
+
+
 def test_duplicates_and_self_loops_collapsed_and_counted():
     g = parse("a b\nb a\na a\na b\n")
     assert (g.n, g.m) == (2, 1)

@@ -24,7 +24,7 @@ from commspread.refine import (
     refine_cover,
 )
 
-from oracles import allocate_brokers, delta_modularity
+from oracles import allocate_brokers, delta_modularity, graph_from_edges
 
 
 def build(n: int, edges) -> Graph:
@@ -146,3 +146,16 @@ def test_refine_cover_never_lowers_modularity(g, data):
     cover = data.draw(covers(g, unassigned=True))
     before = modularity(g, cover.with_singletons())
     assert modularity(g, refine_cover(g, cover)) >= before - 1e-12
+
+
+# Few labels, so that random pairs repeat in both orientations and loop.
+LABELS = st.sampled_from([str(i) for i in range(12)] + ["a", "b", "#c"])
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(LABELS, LABELS), max_size=60), st.lists(LABELS, max_size=8))
+def test_from_edges_equals_dict_and_sort_oracle(edges, extra_nodes):
+    g = Graph.from_edges(edges, extra_nodes=extra_nodes)
+    expected = graph_from_edges(edges, extra_nodes=extra_nodes)
+    for field in ("adj", "weights", "self_loops", "labels", "index", "load_report"):
+        assert getattr(g, field) == getattr(expected, field), field

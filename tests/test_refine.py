@@ -102,6 +102,35 @@ def test_reduce_graph_promotes_unassigned_to_singletons():
     assert rg.label_map == [0, 2]
 
 
+def test_reduce_graph_keeps_unassigned_apart_from_colliding_label():
+    g = graph("a b\nb c\n")
+    rg = reduce_graph(g, Cover([0, UNASSIGNED, 1]))
+    assert rg.member_map == [0, 1, 2]
+    assert rg.label_map == [0, 2, 1]
+
+
+def test_reduce_graph_of_singletons_is_the_identity(karate):
+    rg = reduce_graph(karate, Cover.singletons(karate))
+    assert rg.member_map == rg.label_map == list(range(karate.n))
+    assert (rg.graph.adj, rg.graph.weights, rg.graph.self_loops) == (
+        karate.adj,
+        karate.weights,
+        karate.self_loops,
+    )
+
+
+def test_reduce_graph_of_singletons_keeps_their_labels():
+    g = graph("a b\nb c\n")
+    rg = reduce_graph(g, Cover([5, 3, 9]))
+    assert rg.label_map == [5, 3, 9]
+    assert rg.member_map == [0, 1, 2]
+    assert (rg.graph.adj, rg.graph.weights, rg.graph.self_loops) == (
+        g.adj,
+        g.weights,
+        g.self_loops,
+    )
+
+
 def test_reduction_preserves_modularity_random():
     rng = random.Random(11)
     for _ in range(40):
