@@ -17,7 +17,10 @@ cover with unassigned nodes.  That cover is shaped like the pipeline's:
 each label is the id of one of its members, so no unassigned node's id is
 a label.  It does so for the shipped datasets and for N seeded random
 graphs (Erdos-Renyi and planted partitions, some with isolated nodes, with
-a few duplicate edges and self-loops in the edge list).  Every difference
+a few duplicate edges and self-loops in the edge list), and for two fixed
+seeded graphs of 2000 nodes, large enough for local moves to run several
+closing passes: a G(n, m) graph with m ≈ 4.4 n and a planted partition
+of 40 groups.  Every difference
 is printed, a differing cover with its old -> new Q, and the last line
 counts the differing covers whose Q rose and fell and gives the largest
 fall.  The exit status is 1 if anything differs, else 0.
@@ -69,6 +72,30 @@ def random_edges(rng: random.Random) -> tuple[list[tuple[str, str]], list[str]]:
     # self-loops, which the built graph drops and counts.
     pairs += [(v, u) for u, v in rng.sample(pairs, len(pairs) // 10)]
     pairs += [(u, u) for u in rng.sample(range(n), n // 10)]
+    return [(str(u), str(v)) for u, v in pairs], [str(v) for v in range(n)]
+
+
+MID_SIZE = ("er2000", "planted2000")
+
+
+def mid_size_edges(name: str) -> tuple[list[tuple[str, str]], list[str]]:
+    """One of the fixed ``MID_SIZE`` graphs as an edge list, plus its node list.
+
+    Random pairs may repeat or loop; the loader drops and counts them.
+    """
+    rng = random.Random(name)
+    n = 2000
+    if name == "er2000":
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(8800)]
+    else:  # 40 groups of 50 nodes, p_in = 0.2, plus 2000 random pairs
+        pairs = [
+            (u, v)
+            for first in range(0, n, 50)
+            for u in range(first, first + 50)
+            for v in range(u + 1, first + 50)
+            if rng.random() < 0.2
+        ]
+        pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(2000)]
     return [(str(u), str(v)) for u, v in pairs], [str(v) for v in range(n)]
 
 
@@ -124,6 +151,9 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
     for name in DATASETS:
         with open(ROOT / "data" / f"{name}.txt", encoding="utf-8") as fh:
             cases.append((name, load_edge_list(fh)))
+    for name in MID_SIZE:
+        edges, nodes = mid_size_edges(name)
+        cases.append((name, Graph.from_edges(edges, extra_nodes=nodes)))
     for i in range(graphs):
         edges, nodes = random_edges(random.Random(seed * 1_000_003 + i))
         cases.append((f"random{i}", Graph.from_edges(edges, extra_nodes=nodes)))
@@ -206,7 +236,8 @@ def main() -> int:
         print(line)
     falls = [-d for d in changes if d < 0]
     print(
-        f"{len(new)} digests over {len(DATASETS)} datasets and {args.graphs} random graphs: "
+        f"{len(new)} digests over {len(DATASETS)} datasets, {len(MID_SIZE)} mid-size "
+        f"and {args.graphs} random graphs: "
         f"{len(differences)} differ from {args.rev}; of {len(changes)} differing covers "
         f"Q rose on {sum(d > 0 for d in changes)} and fell on {len(falls)}, "
         f"largest fall {max(falls, default=0.0):.6f}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import statistics
@@ -41,16 +42,20 @@ def _resolve_start(g: Graph, value: str) -> int | None:
         raise CliError(f"start node {value!r} not present in the graph") from None
 
 
-def _config(args, start: int | None) -> RunConfig:
+def _run_config(**fields) -> RunConfig:
     try:
-        return RunConfig(
-            method=args.method,
-            threshold=args.threshold,
-            start=start,
-            run_modmax=not getattr(args, "skip_modmax", False),
-        )
+        return RunConfig(**fields)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+
+
+def _config(args, start: int | None) -> RunConfig:
+    return _run_config(
+        method=args.method,
+        threshold=args.threshold,
+        start=start,
+        run_modmax=not getattr(args, "skip_modmax", False),
+    )
 
 
 def cmd_detect(args) -> int:
@@ -98,6 +103,7 @@ def _linear_fit(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
 
 
 def cmd_bench(args) -> int:
+    cfg = _config(args, None)
     g, _ = _load_graph(args.input)
     try:
         fractions = [float(tok) for tok in args.fractions.split(",") if tok]
@@ -119,7 +125,6 @@ def cmd_bench(args) -> int:
     for fraction, sample in zip(fractions, samples):
         times = []
         for run in range(args.repeats):
-            cfg = RunConfig(method=args.method, threshold=args.threshold)
             t0 = time.perf_counter()
             if args.phase == "traversal":
                 run_traversal(sample, cfg)
@@ -143,20 +148,24 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep_threshold(args) -> int:
-    g, _ = _load_graph(args.input)
     if args.step <= 0 or args.stop < args.start_r:
         raise CliError("need step > 0 and a non-empty threshold range")
-    print("r,Q,k")
+    steps = []
     r = args.start_r
     while r <= args.stop + 1e-9:
-        result = detect(g, RunConfig(method="ins", threshold=round(r, 10)))
+        steps.append((r, _run_config(method="ins", threshold=round(r, 10))))
+        r += args.step
+    g, _ = _load_graph(args.input)
+    print("r,Q,k")
+    for r, cfg in steps:
+        result = detect(g, cfg)
         q = modularity(g, result.cover)
         print(f"{r:.2f},{q:.6f},{result.cover.k}")
-        r += args.step
     return 0
 
 
 def cmd_sweep_start(args) -> int:
+    cfg = _run_config(method="ins", threshold=args.threshold)
     g, _ = _load_graph(args.input)
     if g.n == 0:
         raise CliError("cannot sweep start nodes of an empty graph")
@@ -178,7 +187,7 @@ def cmd_sweep_start(args) -> int:
     print("start,degree,Q,k")
     qs = []
     for v in starts:
-        result = detect(g, RunConfig(method="ins", threshold=args.threshold, start=v))
+        result = detect(g, dataclasses.replace(cfg, start=v))
         q = modularity(g, result.cover)
         qs.append(q)
         print(f"{g.label_of(v)},{g.degree(v)},{q:.6f},{result.cover.k}")

@@ -111,6 +111,18 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
     a community total, which affects vertices that are not neighbors, so
     when the queue empties after a move it is refilled with ``0..n-1``: the
     level ends only after a full pass in which no vertex moved.
+
+    Closing passes after the first evaluate only dirty vertices.  The first
+    refill marks every vertex dirty, evaluating a vertex clears its mark,
+    and from then on a move of ``y`` from community ``A`` to ``B`` marks
+    (a) every neighbor of ``y``, whose weights to ``A`` and ``B`` changed;
+    (b) every member of ``B``, ``y`` included, whose stay term fell as the
+    total of ``B`` grew; (c) every vertex outside ``A`` adjacent to a
+    member of ``A``, whose gain for joining ``A`` rose as its total fell.
+    Any other vertex sees only its stay term rise or an alternative's total
+    grow.  Float subtraction and multiplication are monotone, so it would
+    again compute "stay", and skipping it makes the same moves in the same
+    order as evaluating every vertex of every closing pass.
     """
     n = g.n
     partition = list(range(n)) if initial is None else list(initial)
@@ -131,9 +143,24 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
     queue = deque(range(n))
     queued = [True] * n
     moved = False
-    while queue:
+    # Set at the first refill: the dirty marks and each community's members.
+    dirty: bytearray | None = None
+    members: dict[int, list[int]] = {}
+    while queue or moved:
+        if not queue:
+            if dirty is None:
+                dirty = bytearray(b"\x01") * n
+                for u, c in enumerate(partition):
+                    members.setdefault(c, []).append(u)
+            queue.extend(range(n))
+            queued = [True] * n
+            moved = False
         v = queue.popleft()
         queued[v] = False
+        if dirty is not None:
+            if not dirty[v]:
+                continue
+            dirty[v] = 0
         cur = partition[v]
         weight_to: dict[int, float] = {}
         for u, w in zip(adj[v], weights[v]):
@@ -155,10 +182,19 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
                 if not queued[u] and partition[u] != best_c:
                     queued[u] = True
                     queue.append(u)
-        if not queue and moved:
-            queue.extend(range(n))
-            queued = [True] * n
-            moved = False
+            if dirty is not None:
+                for u in adj[v]:  # (a)
+                    dirty[u] = 1
+                joined = members[best_c]
+                joined.append(v)
+                for u in joined:  # (b)
+                    dirty[u] = 1
+                left = members[cur]
+                left.remove(v)
+                for x in left:  # (c)
+                    for u in adj[x]:
+                        if partition[u] != cur:
+                            dirty[u] = 1
     return partition
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 from commspread import Cover, Graph
 from commspread.cover import UNASSIGNED
 from commspread.graph import LoadReport
+from commspread.refine import MOVE_TOLERANCE
 from commspread.traversal import NodeType
 
 
@@ -131,3 +133,59 @@ def allocate_brokers(g: Graph, cover: Cover, node_type: list[NodeType]) -> Cover
                 tied = True
         assignment[v] = UNASSIGNED if best_c is None or tied else best_c
     return Cover(assignment)
+
+
+def local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
+    """Queue-driven local moves whose every closing pass evaluates all of ``0..n-1``.
+
+    The rule of :func:`commspread.refine._local_moves` without its dirty
+    marks: a FIFO queue starts as ``0..n-1``; a popped vertex takes the
+    neighbor community with the largest gain over staying if that gain
+    exceeds the tolerance (ties: smallest label) and then queues its
+    neighbors outside the new community; when the queue empties after a
+    move it is refilled with ``0..n-1``.
+    """
+    n = g.n
+    partition = list(range(n)) if initial is None else list(initial)
+    adj, weights = g.adj, g.weights
+    strength = [sum(ws) + loop for ws, loop in zip(weights, g.self_loops)]
+    tot: dict[int, float] = {}
+    for c, s in zip(partition, strength):
+        tot[c] = tot.get(c, 0.0) + s
+    w2 = sum(strength)
+    if w2 == 0:
+        return partition
+
+    tolerance = MOVE_TOLERANCE * w2 / 2.0
+    queue = deque(range(n))
+    queued = [True] * n
+    moved = False
+    while queue:
+        v = queue.popleft()
+        queued[v] = False
+        cur = partition[v]
+        weight_to: dict[int, float] = {}
+        for u, w in zip(adj[v], weights[v]):
+            c = partition[u]
+            weight_to[c] = weight_to.get(c, 0.0) + w
+        s_frac = strength[v] / w2
+        stay = weight_to.pop(cur, 0.0) - (tot[cur] - strength[v]) * s_frac
+        best_c, best_gain = cur, stay
+        for c, k in weight_to.items():
+            gain = k - tot[c] * s_frac
+            if gain > best_gain or (gain == best_gain and c < best_c):
+                best_c, best_gain = c, gain
+        if best_gain - stay > tolerance:
+            partition[v] = best_c
+            tot[cur] -= strength[v]
+            tot[best_c] += strength[v]
+            moved = True
+            for u in adj[v]:
+                if not queued[u] and partition[u] != best_c:
+                    queued[u] = True
+                    queue.append(u)
+        if not queue and moved:
+            queue.extend(range(n))
+            queued = [True] * n
+            moved = False
+    return partition

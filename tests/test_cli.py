@@ -224,6 +224,15 @@ def test_bench_rejects_bad_fraction(capsys, walkthrough_path):
     assert code == 2
 
 
+def test_bench_rejects_out_of_range_threshold(capsys, walkthrough_path):
+    code, stdout, stderr = run_cli(
+        capsys, "bench", "--input", str(walkthrough_path), "--threshold", "-1"
+    )
+    assert code == 2
+    assert "error: threshold must be in [0, 1]" in stderr
+    assert stdout == ""
+
+
 def test_sweep_threshold_csv(capsys, walkthrough_path):
     code, stdout, _ = run_cli(
         capsys,
@@ -249,6 +258,20 @@ def test_sweep_threshold_rejects_empty_range(capsys, walkthrough_path):
         "--step", "0.1",
     )
     assert code == 2
+
+
+def test_sweep_threshold_rejects_range_beyond_one(capsys, walkthrough_path):
+    # 0.9 and 0.95 are valid; the sweep must fail before printing them.
+    code, stdout, stderr = run_cli(
+        capsys,
+        "sweep-threshold",
+        "--input", str(walkthrough_path),
+        "--from", "0.9",
+        "--to", "1.2",
+    )
+    assert code == 2
+    assert "error: threshold must be in [0, 1]" in stderr
+    assert stdout == ""
 
 
 def test_sweep_start_all_nodes(capsys, walkthrough_path):
@@ -289,6 +312,15 @@ def test_sweep_start_rejects_bad_sample(capsys, walkthrough_path):
         capsys, "sweep-start", "--input", str(walkthrough_path), "--sample", "zero"
     )
     assert code == 2
+
+
+def test_sweep_start_rejects_out_of_range_threshold(capsys, walkthrough_path):
+    code, stdout, stderr = run_cli(
+        capsys, "sweep-start", "--input", str(walkthrough_path), "--threshold", "1.5"
+    )
+    assert code == 2
+    assert "error: threshold must be in [0, 1]" in stderr
+    assert stdout == ""
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -24,7 +24,7 @@ from commspread.refine import (
     refine_cover,
 )
 
-from oracles import allocate_brokers, delta_modularity, graph_from_edges
+from oracles import allocate_brokers, delta_modularity, graph_from_edges, local_moves
 
 
 def build(n: int, edges) -> Graph:
@@ -56,12 +56,19 @@ def random_graphs(draw) -> Graph:
     return build(n, [(u, v) for u, v in draw(st.lists(pairs, max_size=40)) if u != v])
 
 
-GRAPHS = st.one_of(
-    st.builds(
-        lambda kind, n: FAMILIES[kind](n), st.sampled_from(sorted(FAMILIES)), st.integers(1, 8)
-    ),
-    random_graphs(),
+@st.composite
+def mid_random_graphs(draw) -> Graph:
+    """Up to 40 nodes and 4n drawn pairs: enough to reach later closing passes."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(0, 4 * n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return build(n, [(u, v) for u, v in draw(st.lists(pairs, min_size=m, max_size=m)) if u != v])
+
+
+FAMILY_GRAPHS = st.builds(
+    lambda kind, n: FAMILIES[kind](n), st.sampled_from(sorted(FAMILIES)), st.integers(1, 8)
 )
+GRAPHS = st.one_of(FAMILY_GRAPHS, random_graphs())
 
 ALGORITHMS = {
     "ins": lambda g: detect(g, RunConfig(method="ins", threshold=0.7)).cover,
@@ -120,6 +127,23 @@ def test_local_moves_never_lower_modularity(g, data):
         initial = data.draw(covers(level))
         partition = _local_moves(level, initial.assignment)
         assert modularity(level, Cover(partition)) >= modularity(level, initial) - 1e-12
+
+
+def wide_covers(g: Graph):
+    """Random covers of ``g`` with four labels, two of them above ``n``."""
+    return st.lists(st.sampled_from([0, 1, g.n + 1, 2 * g.n + 3]), min_size=g.n, max_size=g.n)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(FAMILY_GRAPHS, mid_random_graphs()), st.data())
+def test_local_moves_equal_the_full_pass_oracle(g, data):
+    # Skipping clean vertices in closing passes must make the same moves as
+    # evaluating every vertex: same partition from singletons and from a
+    # cover with labels above n, on the graph and a weighted contraction.
+    for level in (g, reduce_graph(g, data.draw(covers(g))).graph):
+        assert _local_moves(level) == local_moves(level)
+        initial = data.draw(wide_covers(level))
+        assert _local_moves(level, initial) == local_moves(level, initial)
 
 
 @settings(deadline=None)

@@ -19,11 +19,16 @@ from commspread.refine import (
 from commspread.traversal import NodeType
 
 from conftest import random_graph, random_partition
-from oracles import communities, delta_modularity
+from oracles import communities, delta_modularity, local_moves
 
 
 def graph(text: str) -> Graph:
     return load_edge_list(io.StringIO(text))
+
+
+def numbered(n: int, edges: list[tuple[int, int]]) -> Graph:
+    """Unit-weight graph whose node ids are the integers of ``edges``."""
+    return Graph.weighted({e: 1.0 for e in edges}, [0.0] * n)
 
 
 def cover_by_label(g: Graph, labels: dict[str, int]) -> Cover:
@@ -177,6 +182,36 @@ def test_local_moves_end_on_a_full_pass_without_moves():
     for v in range(g.n):
         for c in set(partition):
             assert delta_modularity(g, partition, v, c) <= MOVE_TOLERANCE
+
+
+# One graph per rule that marks a vertex dirty in the closing passes: each
+# partition is the full-pass oracle's, and dropping the rule changes it.
+
+
+def test_closing_pass_revisits_neighbors_of_a_moved_vertex():
+    # First closing pass: 4 has chosen to stay in community 5 with vertex 5,
+    # then 5 leaves for community 6.  4 is in neither 6 nor outside 5, so
+    # only rule (a) marks it, and it must follow 5 into 6.
+    g = numbered(7, [(0, 1), (0, 5), (2, 5), (2, 6), (3, 5), (3, 6), (4, 5), (5, 6)])
+    assert _local_moves(g) == local_moves(g) == [1, 1, 6, 6, 6, 6, 6]
+
+
+def test_closing_pass_revisits_members_of_the_joined_community():
+    # First closing pass: 0 has chosen to stay in community 5, then 2, not
+    # a neighbor of 0, joins 5 from community 4.  The larger total of 5
+    # sends 0 to community 6 in the second closing pass; only rule (b)
+    # marks it.
+    g = numbered(8, [(0, 5), (0, 6), (1, 2), (1, 4), (1, 7), (2, 5), (3, 6)])
+    assert _local_moves(g) == local_moves(g) == [6, 4, 5, 6, 4, 5, 6, 4]
+
+
+def test_closing_pass_revisits_vertices_next_to_the_left_community():
+    # First closing pass: 2, adjacent to 0 and 1, has chosen to stay in
+    # community 6, then 3 leaves community 3 = {0, 1, 3} for 5.  3 is not a
+    # neighbor of 2; the smaller total of 3 draws 2 into it in the second
+    # closing pass, and only rule (c) marks it.
+    g = numbered(7, [(0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (2, 6), (3, 5), (4, 5), (4, 6)])
+    assert _local_moves(g) == local_moves(g) == [3, 3, 3, 5, 6, 5, 6]
 
 
 def test_maximize_modularity_splits_two_cliques():
