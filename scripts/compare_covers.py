@@ -8,7 +8,7 @@ Both trees then run this script's digest mode in a subprocess, each with
 its own ``src/`` on ``PYTHONPATH``.  A run records the sha256 of the cover
 file written by every algorithm of ``tests/test_golden_covers.py`` (detect
 ins, cond and ins without modmax, ``louvain``, ``label_propagation``), of
-every ``TraversalResult`` field under ins and cond, and of the
+every ``TraversalResult`` field of a traced run under ins and cond, and of the
 ``cover_stats`` of a seeded random partition, and the modularity of every
 cover next to its digest.  It also digests every graph it builds
 (adjacency, weights, self-loops, labels and load report) and the
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -137,6 +138,9 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
     )
     from commspread.refine import reduce_graph
 
+    # Trees whose traversal trace is opt-in are asked for it, so their trace
+    # digests compare with those of trees that always record it.
+    traced = {"trace": True} if "trace" in inspect.signature(run_traversal).parameters else {}
     algorithms = {
         "ins": lambda g: detect(g, RunConfig(method="ins", threshold=0.75)).cover,
         "cond": lambda g: detect(g, RunConfig(method="cond")).cover,
@@ -176,7 +180,7 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
             write_cover_file(g, cover, text)
             out[f"{name}/{alg}"] = (sha(text.getvalue()), modularity(g, cover))
         for method in ("ins", "cond"):
-            result = run_traversal(g, RunConfig(method=method, threshold=0.75))
+            result = run_traversal(g, RunConfig(method=method, threshold=0.75), **traced)
             for field in TRAVERSAL_FIELDS:
                 value = getattr(result, field)
                 out[f"{name}/traversal-{method}/{field}"] = (sha(json.dumps(value)), None)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import statistics
@@ -21,11 +22,25 @@ class CliError(Exception):
     """Input or usage error; maps to exit code 2."""
 
 
+def _parse_utf8(path: str, parse):
+    """``parse`` applied to the lines of ``path`` read as UTF-8 text.
+
+    Text mode splits lines at every newline convention.  If the file is not
+    valid UTF-8 its lines are read again as the bytes they came from, so that
+    ``parse``, which decodes bytes line by line, names the first bad line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh)
+    except UnicodeDecodeError:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            return parse(line.encode("utf-8", "surrogateescape") for line in fh)
+
+
 def _load_graph(path: str) -> tuple[Graph, float]:
     start = time.perf_counter()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            g = load_edge_list(fh)
+        g = _parse_utf8(path, load_edge_list)
     except OSError as exc:
         raise CliError(f"cannot read input {path}: {exc}") from exc
     except GraphParseError as exc:
@@ -65,8 +80,11 @@ def cmd_detect(args) -> int:
     result = detect(g, cfg)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     q = modularity(g, result.cover)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        write_cover_file(g, result.cover, fh)
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            write_cover_file(g, result.cover, fh)
+    except OSError as exc:
+        raise CliError(f"cannot write output {args.output}: {exc}") from exc
     print(f"parse_ms={parse_ms:.1f}", file=sys.stderr)
     print(f"{g.n}\t{g.m}\t{result.cover.k}\t{q:.3f}\t{elapsed_ms:.1f}")
     return 0
@@ -75,8 +93,7 @@ def cmd_detect(args) -> int:
 def cmd_eval(args) -> int:
     g, _ = _load_graph(args.input)
     try:
-        with open(args.cover, "r", encoding="utf-8") as fh:
-            cover = read_cover_file(g, fh)
+        cover = _parse_utf8(args.cover, functools.partial(read_cover_file, g))
     except OSError as exc:
         raise CliError(f"cannot read cover {args.cover}: {exc}") from exc
     except ValueError as exc:

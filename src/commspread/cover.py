@@ -85,7 +85,12 @@ def read_cover_file(g: Graph, stream: IO) -> Cover:
     unknown: list[str] = []
     for lineno, raw in enumerate(stream, start=1):
         if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(
+                    f"line {lineno}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+                ) from None
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -100,8 +100,8 @@ class Graph:
         """Graph on ``len(self_loops)`` nodes from ``{(u, v): weight}`` with u < v.
 
         Appending the edges in ascending ``(u, v)`` order leaves every
-        adjacency list sorted.  Used for weighted and sampled graphs;
-        :meth:`from_edges` builds input graphs directly.
+        adjacency list sorted.  Used for sampled graphs; :meth:`from_edges`
+        builds input graphs directly.
         """
         n = len(self_loops)
         adj: list[list[int]] = [[] for _ in range(n)]
@@ -166,16 +166,6 @@ class Graph:
             index=index,
         )
 
-    @classmethod
-    def weighted(
-        cls, edges: dict[tuple[int, int], float], self_loops: list[float]
-    ) -> "Graph":
-        """Weighted graph on ``len(self_loops)`` nodes from ``{(u, v): weight}``, u < v.
-
-        Used for reduced (contracted) graphs, which carry no labels.
-        """
-        return cls._build([], edges, self_loops)
-
     # -- operations ---------------------------------------------------------
 
     def sample_edges(self, fraction: float, seed: int) -> "Graph":
@@ -207,15 +197,21 @@ def load_edge_list(stream: IO) -> Graph:
     """Parse a whitespace-separated edge list into a :class:`Graph`.
 
     One edge per line, two tokens per line; lines starting with ``#`` and
-    blank lines are ignored.  Bytes streams are decoded as UTF-8.  Raises
-    :class:`GraphParseError` with the offending line number on a malformed
-    line.  Empty input yields an empty graph.
+    blank lines are ignored.  Bytes streams are decoded as UTF-8 line by
+    line.  Raises :class:`GraphParseError` with the offending line number on
+    a malformed line or one that is not valid UTF-8.  Empty input yields an
+    empty graph.
     """
 
     def lines():
         for lineno, raw in enumerate(stream, start=1):
             if isinstance(raw, bytes):
-                raw = raw.decode("utf-8")
+                try:
+                    raw = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise GraphParseError(
+                        lineno, f"not valid UTF-8 ({exc.reason} at byte {exc.start})"
+                    ) from None
             tokens = raw.split()
             if not tokens or tokens[0][0] == "#":
                 continue

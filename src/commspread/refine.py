@@ -3,12 +3,14 @@ greedy modularity maximization."""
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from bisect import bisect_right
+from collections import Counter, _count_elements, deque
 from dataclasses import dataclass
 
 from .cover import UNASSIGNED, Cover
 from .graph import Graph
 from .traversal import NodeType, TraversalResult
+
 
 MOVE_TOLERANCE = 1e-12
 
@@ -31,16 +33,25 @@ def post_process(g: Graph, cover: Cover, node_type: list[NodeType]) -> Cover:
     """
     labels = cover.assignment
     size = Counter(labels)
-    eligible = {c for c, t in zip(labels, node_type) if t == NodeType.COMMUNITY}
+    BROKER, COMMUNITY = NodeType.BROKER, NodeType.COMMUNITY
+    eligible = {c for c, t in zip(labels, node_type) if t == COMMUNITY}
     assignment = list(labels)
+    adj = g.adj
+    label_of = labels.__getitem__
     for v, t in enumerate(node_type):
-        if t != NodeType.BROKER or labels[v] in eligible:
+        if t != BROKER or labels[v] in eligible:
             continue  # community nodes and seeding brokers keep their label
-        hits = Counter(labels[u] for u in g.adj[v] if labels[u] in eligible)
-        p = {c: h / size[c] for c, h in hits.items()}
-        top = max(p.values(), default=0.0)
-        best = [c for c in p if p[c] == top]
-        assignment[v] = best[0] if len(best) == 1 else UNASSIGNED
+        hits: dict[int, int] = {}
+        _count_elements(hits, map(label_of, adj[v]))
+        best, top, ties = UNASSIGNED, 0.0, 0
+        for c, h in hits.items():
+            if c in eligible:
+                p = h / size[c]
+                if p > top:
+                    best, top, ties = c, p, 1
+                elif p == top:
+                    ties += 1
+        assignment[v] = best if ties == 1 else UNASSIGNED
     return Cover(assignment)
 
 
@@ -77,24 +88,45 @@ def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
         # Every community is one node: the contraction would copy g exactly.
         return ReducedGraph(graph=g, label_map=list(super_of_label), member_map=node_super)
 
-    self_loops = [0.0] * len(super_of_label)
-    cross: dict[tuple[int, int], float] = {}
+    k = len(super_of_label)
+    self_loops = [0.0] * k
+    # rows[a][b] is the cross weight between super-vertices a < b, summed in
+    # the order the edges are met: ascending v, then ascending u > v.
+    rows: list[dict[int, float]] = [{} for _ in range(k)]
     adj, weights, loops = g.adj, g.weights, g.self_loops
     for v in range(g.n):
         cv = node_super[v]
-        self_loops[cv] += loops[v]
-        for u, w in zip(adj[v], weights[v]):
-            if u < v:
-                continue
+        own = rows[cv]
+        loop = self_loops[cv] + loops[v]
+        nbrs = adj[v]
+        above = bisect_right(nbrs, v)  # meet each edge once, from its lower end
+        for u, w in zip(nbrs[above:], weights[v][above:]):
             cu = node_super[u]
             if cu == cv:
-                self_loops[cu] += 2.0 * w
+                loop += 2.0 * w
+            elif cu > cv:
+                own[cu] = own.get(cu, 0.0) + w
             else:
-                key = (cu, cv) if cu < cv else (cv, cu)
-                cross[key] = cross.get(key, 0.0) + w
+                row = rows[cu]
+                row[cv] = row.get(cv, 0.0) + w
+        self_loops[cv] = loop
+
+    # Appending the rows in ascending (a, b) order leaves every list sorted:
+    # list a holds its lower neighbors, appended from earlier rows, before
+    # its own row.
+    out_adj: list[list[int]] = [[] for _ in range(k)]
+    out_weights: list[list[float]] = [[] for _ in range(k)]
+    for a, row in enumerate(rows):
+        ends = sorted(row)
+        ws = list(map(row.__getitem__, ends))
+        out_adj[a] += ends
+        out_weights[a] += ws
+        for b, w in zip(ends, ws):
+            out_adj[b].append(a)
+            out_weights[b].append(w)
 
     return ReducedGraph(
-        graph=Graph.weighted(cross, self_loops),
+        graph=Graph(adj=out_adj, weights=out_weights, self_loops=self_loops, labels=[]),
         label_map=list(super_of_label),
         member_map=node_super,
     )
@@ -102,6 +134,9 @@ def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
 
 def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
     """One level of greedy moves starting from ``initial`` (default singletons).
+
+    The labels of ``initial`` index a list of community totals, so they must
+    be non-negative and not much above ``n``.
 
     A FIFO queue holds the vertices to evaluate, first ``0..n-1`` in
     ascending order.  A popped vertex takes the neighbor community with the
@@ -128,10 +163,10 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
     partition = list(range(n)) if initial is None else list(initial)
     adj, weights = g.adj, g.weights
     strength = [sum(ws) + loop for ws, loop in zip(weights, g.self_loops)]
-    # Labels of an arbitrary initial cover may exceed n, so totals are keyed.
-    tot: dict[int, float] = {}
+    # Totals are indexed by label.
+    tot = [0.0] * (max(partition, default=-1) + 1)
     for c, s in zip(partition, strength):
-        tot[c] = tot.get(c, 0.0) + s
+        tot[c] += s
     w2 = sum(strength)
     if w2 == 0:
         return partition
@@ -146,6 +181,11 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
     # Set at the first refill: the dirty marks and each community's members.
     dirty: bytearray | None = None
     members: dict[int, list[int]] = {}
+    # On a unit-weight level the weight to a community is its neighbor
+    # count, counted at C speed; integer counts convert to float exactly,
+    # so every gain and tie is the one the weighted sum would give.
+    unit = all(ws.count(1.0) == len(ws) for ws in weights)
+    label_of = partition.__getitem__
     while queue or moved:
         if not queue:
             if dirty is None:
@@ -163,9 +203,12 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
             dirty[v] = 0
         cur = partition[v]
         weight_to: dict[int, float] = {}
-        for u, w in zip(adj[v], weights[v]):
-            c = partition[u]
-            weight_to[c] = weight_to.get(c, 0.0) + w
+        if unit:
+            _count_elements(weight_to, map(label_of, adj[v]))
+        else:
+            for u, w in zip(adj[v], weights[v]):
+                c = partition[u]
+                weight_to[c] = weight_to.get(c, 0.0) + w
         s_frac = strength[v] / w2
         stay = weight_to.pop(cur, 0.0) - (tot[cur] - strength[v]) * s_frac
         best_c, best_gain = cur, stay
@@ -207,8 +250,13 @@ def refine_cover(g: Graph, cover: Cover) -> Cover:
     :func:`maximize_modularity`.  Communities keep the label of their
     smallest original member's seed community.
     """
-    partition = _local_moves(g, cover.with_singletons().assignment)
-    return maximize_modularity(reduce_graph(g, Cover(partition)))
+    labels = cover.with_singletons().assignment
+    # _local_moves indexes its totals by label, so the ids are ranked first.
+    # Ranking keeps their order, and with it the smallest-label tie rule.
+    ids = sorted(set(labels))
+    rank = dict(zip(ids, range(len(ids))))
+    partition = _local_moves(g, list(map(rank.__getitem__, labels)))
+    return maximize_modularity(reduce_graph(g, Cover(list(map(ids.__getitem__, partition)))))
 
 
 def maximize_modularity(rg: ReducedGraph) -> Cover:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import filterfalse
 from typing import Optional
 
 from .graph import Graph
@@ -67,11 +68,16 @@ class ClusterAccumulator:
 
 @dataclass
 class TraversalResult:
-    """Per-node outcome of a traversal plus bookkeeping for analysis."""
+    """Per-node outcome of a traversal plus its optional trace.
+
+    ``ins``, ``discovery_order`` and ``processing_order`` are filled only by
+    a traced run (``run_traversal(..., trace=True)``) and are empty
+    otherwise; ``inspections`` is always counted.
+    """
 
     community: list[int]
     node_type: list[NodeType]
-    ins: list[Optional[float]]
+    ins: list[Optional[float]] = field(default_factory=list)
     discovery_order: list[int] = field(default_factory=list)
     processing_order: list[int] = field(default_factory=list)
     inspections: int = 0
@@ -82,7 +88,7 @@ def ins_score(g: Graph, v: int, covered: bytearray) -> float:
     d = g.degree(v)
     if d == 0:
         return 0.0
-    return sum(1 for u in g.adj[v] if covered[u]) / d
+    return sum(map(covered.__getitem__, g.adj[v])) / d
 
 
 def classify_by_conductance(
@@ -116,33 +122,49 @@ def classify_by_conductance(
     return k_ts * (k_s + k_o) > k_s * k_t + alpha * (k_s - k_o)
 
 
-def run_traversal(g: Graph, cfg: RunConfig) -> TraversalResult:
+def run_traversal(g: Graph, cfg: RunConfig, trace: bool = False) -> TraversalResult:
     """Classify every node as broker or community node in one linear pass.
 
     The starting node (and each restart node on disconnected graphs) is the
-    lowest-degree uncovered node and is always a broker with score 0.  The
-    discovery order lists, per processing step, the new brokers in the order
-    they will be popped followed by the new community nodes in queue order.
+    lowest-degree uncovered node and is always a broker with score 0.  With
+    ``trace`` set the result also records the processing order, every ins
+    score, and the discovery order, which lists, per processing step, the
+    new brokers in the order they will be popped followed by the new
+    community nodes in queue order.  Without it those fields stay empty and
+    cost nothing.
     """
     n = g.n
+    # Bound once: a class-attribute lookup of an enum member per node costs
+    # several times a local one.
+    UNCATEGORIZED, BROKER, COMMUNITY = (
+        NodeType.UNCATEGORIZED,
+        NodeType.BROKER,
+        NodeType.COMMUNITY,
+    )
     result = TraversalResult(
         community=list(range(n)),
-        node_type=[NodeType.UNCATEGORIZED] * n,
-        ins=[None] * n,
+        node_type=[UNCATEGORIZED] * n,
+        ins=[None] * n if trace else [],
     )
     if n == 0:
         return result
 
-    if cfg.start is not None and not 0 <= cfg.start < n:
-        raise ValueError(f"start node {cfg.start} out of range")
+    start = cfg.start
+    if start is not None and not 0 <= start < n:
+        raise ValueError(f"start node {start} out of range")
 
     covered = bytearray(n)
+    is_covered = covered.__getitem__
     stack: list[int] = []
     queue: deque[int] = deque()
     cover_count = 0
+    inspections = 0
     adj = g.adj
     comm = result.community
     ntype = result.node_type
+    ins = result.ins
+    discovery = result.discovery_order
+    processing = result.processing_order
 
     # A node belongs to cluster c exactly when comm[node] == c: community
     # nodes carry their seed's label, and every other node keeps its own id,
@@ -150,6 +172,7 @@ def run_traversal(g: Graph, cfg: RunConfig) -> TraversalResult:
     if cfg.method == "cond":
         twom = 2 * g.m
         clusters: dict[int, ClusterAccumulator] = {}
+        label_of = comm.__getitem__
 
         def joins(v: int, u: int) -> bool:
             c = comm[v]
@@ -157,7 +180,7 @@ def run_traversal(g: Graph, cfg: RunConfig) -> TraversalResult:
             if acc is None:  # v is the seed of its cluster
                 acc = clusters[c] = ClusterAccumulator.seeded(g, v)
             k_t = len(adj[u])
-            k_ts = sum(1 for w in adj[u] if comm[w] == c)
+            k_ts = list(map(label_of, adj[u])).count(c)
             if classify_by_conductance(
                 k_t, k_ts, acc.volume, twom - acc.volume - k_t, acc.cut - k_ts
             ):
@@ -169,57 +192,16 @@ def run_traversal(g: Graph, cfg: RunConfig) -> TraversalResult:
         r = cfg.threshold
 
         def joins(v: int, u: int) -> bool:
-            score = result.ins[u] = ins_score(g, u, covered)
+            score = ins_score(g, u, covered)
+            if trace:
+                ins[u] = score
             return score >= r
 
     # Restart nodes come from a degree-sorted list walked by a monotone
     # cursor, so selecting all of them costs O(n) total even on graphs with
-    # many components.
-    by_degree = sorted(range(n), key=lambda v: (len(adj[v]), v))
+    # many components.  The sort is stable, so ties keep ascending ids.
+    by_degree = sorted(range(n), key=list(map(len, adj)).__getitem__)
     cursor = 0
-
-    def start_node() -> int:
-        nonlocal cursor
-        if cfg.start is not None and not covered[cfg.start]:
-            return cfg.start
-        while covered[by_degree[cursor]]:
-            cursor += 1
-        return by_degree[cursor]
-
-    def open_component() -> int:
-        nonlocal cover_count
-        v = start_node()
-        covered[v] = 1
-        cover_count += 1
-        ntype[v] = NodeType.BROKER
-        result.ins[v] = 0.0
-        result.discovery_order.append(v)
-        return v
-
-    def process(v: int) -> None:
-        nonlocal cover_count
-        # Influence reaches the whole neighborhood before any of it is
-        # classified.
-        for u in adj[v]:
-            if not covered[u]:
-                covered[u] = 1
-                cover_count += 1
-        new_brokers: list[int] = []
-        new_comms: list[int] = []
-        for u in adj[v]:
-            if ntype[u] != NodeType.UNCATEGORIZED:
-                continue
-            if joins(v, u):
-                ntype[u] = NodeType.COMMUNITY
-                comm[u] = comm[v]
-                queue.append(u)
-                new_comms.append(u)
-            else:
-                ntype[u] = NodeType.BROKER
-                stack.append(u)
-                new_brokers.append(u)
-        result.discovery_order.extend(reversed(new_brokers))
-        result.discovery_order.extend(new_comms)
 
     while cover_count < n:
         if queue:
@@ -227,8 +209,41 @@ def run_traversal(g: Graph, cfg: RunConfig) -> TraversalResult:
         elif stack:
             v = stack.pop()
         else:
-            v = open_component()
-        result.processing_order.append(v)
-        result.inspections += 1 + len(adj[v])
-        process(v)
+            if start is not None and not covered[start]:
+                v = start
+            else:
+                while covered[by_degree[cursor]]:
+                    cursor += 1
+                v = by_degree[cursor]
+            covered[v] = 1
+            cover_count += 1
+            ntype[v] = BROKER
+            if trace:
+                ins[v] = 0.0
+                discovery.append(v)
+        nbrs = adj[v]
+        inspections += 1 + len(nbrs)
+        # Influence reaches the whole neighborhood before any of it is
+        # classified.  A node is covered exactly when it is classified, so
+        # the uncovered neighbors are the ones left to classify.
+        fresh = list(filterfalse(is_covered, nbrs))
+        for u in fresh:
+            covered[u] = 1
+        cover_count += len(fresh)
+        if trace:
+            processing.append(v)
+            brokers_before, comms_before = len(stack), len(queue)
+        c = comm[v]
+        for u in fresh:
+            if joins(v, u):
+                ntype[u] = COMMUNITY
+                comm[u] = c
+                queue.append(u)
+            else:
+                ntype[u] = BROKER
+                stack.append(u)
+        if trace:
+            discovery.extend(reversed(stack[brokers_before:]))
+            discovery.extend(queue[i] for i in range(comms_before, len(queue)))
+    result.inspections = inspections
     return result

@@ -8,7 +8,7 @@ from fractions import Fraction
 from commspread import Cover, Graph
 from commspread.cover import UNASSIGNED
 from commspread.graph import LoadReport
-from commspread.refine import MOVE_TOLERANCE
+from commspread.refine import MOVE_TOLERANCE, ReducedGraph
 from commspread.traversal import NodeType
 
 
@@ -189,3 +189,43 @@ def local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
             queued = [True] * n
             moved = False
     return partition
+
+
+def weighted_graph(edges: dict[tuple[int, int], float], self_loops: list[float]) -> Graph:
+    """Unlabeled weighted graph on ``len(self_loops)`` nodes from ``{(u, v): weight}``, u < v."""
+    return Graph._build([], edges, self_loops)
+
+
+def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
+    """Contraction through one ``(a, b)`` key per super-edge and a global sort.
+
+    The rule of :func:`commspread.refine.reduce_graph`, evaluated directly:
+    super-vertices are numbered by smallest member, every edge is met once
+    from its lower end in ascending order and adds its weight to a
+    self-loop (twice) or to the cross key of its two super-vertices, and
+    :func:`weighted_graph` appends the keys in sorted order.
+    """
+    super_of_label: dict[int, int] = {}
+    node_super = [
+        super_of_label.setdefault(c, len(super_of_label))
+        for c in cover.with_singletons().assignment
+    ]
+    self_loops = [0.0] * len(super_of_label)
+    cross: dict[tuple[int, int], float] = {}
+    for v in range(g.n):
+        cv = node_super[v]
+        self_loops[cv] += g.self_loops[v]
+        for u, w in zip(g.adj[v], g.weights[v]):
+            if u < v:
+                continue
+            cu = node_super[u]
+            if cu == cv:
+                self_loops[cu] += 2.0 * w
+            else:
+                key = (cu, cv) if cu < cv else (cv, cu)
+                cross[key] = cross.get(key, 0.0) + w
+    return ReducedGraph(
+        graph=weighted_graph(cross, self_loops),
+        label_map=list(super_of_label),
+        member_map=node_super,
+    )

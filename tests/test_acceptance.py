@@ -20,7 +20,7 @@ from commspread.refine import reduce_graph
 from commspread.traversal import NodeType, classify_by_conductance
 
 from conftest import DATA_DIR, load_dataset, random_graph, random_partition
-from oracles import communities, exact_conductance
+from oracles import communities, exact_conductance, weighted_graph
 
 
 def report(capsys, criterion: str, ok: bool, detail: str) -> None:
@@ -163,7 +163,7 @@ def big_graph() -> Graph:
         v = rng.randrange(n)
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    return Graph.weighted(dict.fromkeys(edges, 1.0), [0.0] * n)
+    return weighted_graph(dict.fromkeys(edges, 1.0), [0.0] * n)
 
 
 def _load_reference():
@@ -218,7 +218,7 @@ def test_criterion_7_traversal_linearity(capsys, big_graph):
 def test_criterion_8_walkthrough_golden(capsys, walkthrough):
     g = walkthrough
     cfg = RunConfig(method="ins", threshold=0.66, start=g.id_of("N"))
-    res = run_traversal(g, cfg)
+    res = run_traversal(g, cfg, trace=True)
     golden = [
         ("N", 0.00, NodeType.BROKER, "N"),
         ("L", 0.25, NodeType.BROKER, "L"),

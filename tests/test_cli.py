@@ -101,6 +101,64 @@ def test_detect_malformed_input_exits_2(capsys, tmp_path):
     assert "line 1" in stderr
 
 
+def test_detect_unwritable_output_exits_2(capsys, tmp_path, walkthrough_path):
+    out = tmp_path / "missing-dir" / "cover.tsv"
+    code, _, stderr = run_cli(
+        capsys,
+        "detect",
+        "--input", str(walkthrough_path),
+        "--method", "ins",
+        "--output", str(out),
+    )
+    assert code == 2
+    assert "cannot write output" in stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["detect", "--method", "ins", "--output", "cover.tsv"],
+        ["eval", "--cover", "cover.tsv"],
+        ["bench"],
+        ["sweep-threshold"],
+        ["sweep-start"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_non_utf8_edge_list_exits_2_naming_the_line(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cover.tsv").write_text("a\t0\nb\t0\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"a b\nb \xff\n")
+    code, _, stderr = run_cli(capsys, command[0], "--input", str(bad), *command[1:])
+    assert code == 2
+    assert "line 2: not valid UTF-8" in stderr
+
+
+def test_eval_non_utf8_cover_exits_2_naming_the_line(capsys, tmp_path):
+    edges = tmp_path / "g.txt"
+    edges.write_text("a b\n")
+    cover = tmp_path / "cover.tsv"
+    cover.write_bytes(b"a\t0\n\xe9\t0\n")
+    code, _, stderr = run_cli(capsys, "eval", "--input", str(edges), "--cover", str(cover))
+    assert code == 2
+    assert "line 2: not valid UTF-8" in stderr
+
+
+def test_lone_cr_line_ends_split_lines(capsys, tmp_path):
+    edges = tmp_path / "g.txt"
+    edges.write_bytes(b"a b\rb c\r")
+    cover = tmp_path / "cover.tsv"
+    cover.write_bytes(b"a\t0\rb\t0\rc\t1\r")
+    code, stdout, _ = run_cli(capsys, "eval", "--input", str(edges), "--cover", str(cover))
+    assert code == 0
+    assert "k\t2" in stdout.splitlines()
+    edges.write_bytes(b"a b\rb \xff\rc d\r")
+    code, _, stderr = run_cli(capsys, "eval", "--input", str(edges), "--cover", str(cover))
+    assert code == 2
+    assert "line 2: not valid UTF-8" in stderr
+
+
 def test_eval_reports_cover_quality(capsys, tmp_path, walkthrough_path):
     out = tmp_path / "cover.tsv"
     run_cli(

@@ -8,6 +8,7 @@ import pytest
 from commspread import Graph, GraphParseError, load_edge_list
 
 from conftest import random_graph
+from oracles import weighted_graph
 
 
 def parse(text: str) -> Graph:
@@ -52,6 +53,20 @@ def test_crlf_tabs_and_indented_comments():
     g = parse("a\tb\r\n  # comment\r\n\tb \t c\r\n\r\n")
     assert g.labels == ["a", "b", "c"]
     assert g.adj == [[1], [0, 2], [1]]
+
+
+def test_crlf_bytes_stream_parses_like_text():
+    text = "a\tb\r\n  # comment\r\n\tb \t c\r\n\r\n"
+    g = load_edge_list(io.BytesIO(text.encode("utf-8")))
+    assert (g.labels, g.adj) == (parse(text).labels, parse(text).adj)
+
+
+def test_invalid_utf8_reports_line_number():
+    data = "a b\n# \u00e9\n".encode("utf-8") + b"b \xff\nc d\n"
+    with pytest.raises(GraphParseError) as exc:
+        load_edge_list(io.BytesIO(data))
+    assert exc.value.line_number == 3
+    assert str(exc.value).startswith("line 3: not valid UTF-8")
 
 
 def test_duplicates_and_self_loops_collapsed_and_counted():
@@ -102,7 +117,7 @@ def test_sample_edges_subset_of_original(karate):
 
 
 def test_weighted_graph_strength_and_total_weight():
-    g = Graph.weighted({(1, 2): 0.5, (0, 1): 2.0}, [4.0, 0.0, 0.0])
+    g = weighted_graph({(1, 2): 0.5, (0, 1): 2.0}, [4.0, 0.0, 0.0])
     assert g.strength(0) == 6.0
     assert g.strength(1) == 2.5
     assert g.total_weight() == 6.0 + 2.5 + 0.5

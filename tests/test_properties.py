@@ -24,6 +24,7 @@ from commspread.refine import (
     refine_cover,
 )
 
+import oracles
 from oracles import allocate_brokers, delta_modularity, graph_from_edges, local_moves
 
 
@@ -134,6 +135,16 @@ def wide_covers(g: Graph):
     return st.lists(st.sampled_from([0, 1, g.n + 1, 2 * g.n + 3]), min_size=g.n, max_size=g.n)
 
 
+@settings(deadline=None)
+@given(GRAPHS, st.data())
+def test_refine_cover_depends_only_on_label_order(g, data):
+    # Ids far above n, as a cover file may carry, refine like their ranks.
+    cover = data.draw(covers(g))
+    spread = [10**9 * (c + 1) for c in cover.assignment]
+    refined = refine_cover(g, cover).assignment
+    assert refine_cover(g, Cover(spread)).assignment == [10**9 * (c + 1) for c in refined]
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.one_of(FAMILY_GRAPHS, mid_random_graphs()), st.data())
 def test_local_moves_equal_the_full_pass_oracle(g, data):
@@ -162,6 +173,36 @@ def test_contraction_preserves_modularity(g, data):
     reduced = reduce_graph(g, cover).graph
     q = modularity(g, cover.with_singletons())
     assert modularity(reduced, Cover.singletons(reduced)) == pytest.approx(q, abs=1e-12)
+
+
+@settings(deadline=None)
+@given(GRAPHS, st.data())
+def test_contraction_equals_dict_and_sort_oracle(g, data):
+    # Fractional weights make every float sum depend on its order.  Each
+    # level is contracted from a cover with unassigned nodes and from one
+    # with labels above n.
+    weight = st.floats(0.01, 1.0)
+    fractional = oracles.weighted_graph(
+        {e: data.draw(weight) for e in g.edges()}, [data.draw(weight) for _ in range(g.n)]
+    )
+    contracted = oracles.reduce_graph(fractional, data.draw(covers(fractional))).graph
+    for level in (g, fractional, contracted):
+        with_unassigned = data.draw(covers(level, unassigned=True))
+        for cover in (with_unassigned, Cover(data.draw(wide_covers(level)))):
+            got, expected = reduce_graph(level, cover), oracles.reduce_graph(level, cover)
+            for field in ("adj", "weights", "self_loops"):
+                assert getattr(got.graph, field) == getattr(expected.graph, field), field
+            assert (got.label_map, got.member_map) == (expected.label_map, expected.member_map)
+
+
+@settings(deadline=None)
+@given(GRAPHS, st.sampled_from(["ins", "cond"]), st.sampled_from([0.5, 0.7, 1.0]))
+def test_untraced_traversal_equals_traced(g, method, threshold):
+    cfg = RunConfig(method=method, threshold=threshold)
+    plain, traced = run_traversal(g, cfg), run_traversal(g, cfg, trace=True)
+    for field in ("community", "node_type", "inspections"):
+        assert getattr(plain, field) == getattr(traced, field), field
+    assert plain.ins == plain.discovery_order == plain.processing_order == []
 
 
 @settings(deadline=None)

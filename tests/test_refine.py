@@ -19,7 +19,7 @@ from commspread.refine import (
 from commspread.traversal import NodeType
 
 from conftest import random_graph, random_partition
-from oracles import communities, delta_modularity, local_moves
+from oracles import communities, delta_modularity, local_moves, weighted_graph
 
 
 def graph(text: str) -> Graph:
@@ -28,7 +28,7 @@ def graph(text: str) -> Graph:
 
 def numbered(n: int, edges: list[tuple[int, int]]) -> Graph:
     """Unit-weight graph whose node ids are the integers of ``edges``."""
-    return Graph.weighted({e: 1.0 for e in edges}, [0.0] * n)
+    return weighted_graph({e: 1.0 for e in edges}, [0.0] * n)
 
 
 def cover_by_label(g: Graph, labels: dict[str, int]) -> Cover:

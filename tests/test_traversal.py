@@ -33,7 +33,7 @@ def test_ins_score_fraction_of_covered_neighbors():
 
 def test_start_defaults_to_lowest_degree_node():
     g = graph("a b\nb c\nc d\nc a\n")  # degrees a2 b2 c3 d1
-    res = run_traversal(g, RunConfig())
+    res = run_traversal(g, RunConfig(), trace=True)
     assert res.processing_order[0] == g.id_of("d")
     assert res.node_type[g.id_of("d")] == NodeType.BROKER
     assert res.ins[g.id_of("d")] == 0.0
@@ -41,7 +41,7 @@ def test_start_defaults_to_lowest_degree_node():
 
 def test_start_override_and_range_check():
     g = graph("a b\nb c\n")
-    res = run_traversal(g, RunConfig(start=g.id_of("b")))
+    res = run_traversal(g, RunConfig(start=g.id_of("b")), trace=True)
     assert res.processing_order[0] == g.id_of("b")
     with pytest.raises(ValueError):
         run_traversal(g, RunConfig(start=5))
@@ -52,14 +52,14 @@ def test_every_node_categorized_both_methods():
     for method in ("ins", "cond"):
         for _ in range(15):
             g = random_graph(rng, rng.randrange(1, 20), rng.random())
-            res = run_traversal(g, RunConfig(method=method, threshold=0.6))
+            res = run_traversal(g, RunConfig(method=method, threshold=0.6), trace=True)
             assert all(t != NodeType.UNCATEGORIZED for t in res.node_type)
             assert sorted(res.discovery_order) == list(range(g.n))
 
 
 def test_disconnected_graph_restarts_from_lowest_degree():
     g = graph("a b\nb c\na c\nx y\n")  # component {a,b,c} and edge {x,y}
-    res = run_traversal(g, RunConfig())
+    res = run_traversal(g, RunConfig(), trace=True)
     assert all(t != NodeType.UNCATEGORIZED for t in res.node_type)
     # The second component's entry node is again a broker with score 0.
     starts = [v for v in (g.id_of("x"), g.id_of("y")) if res.ins[v] == 0.0]
@@ -71,7 +71,7 @@ def test_queue_drains_before_stack():
     # 1/2 < 0.75 and go on the stack (a below b).  Popping b discovers the
     # community node y, which must be processed before a is popped.
     g = graph("c a\nc b\na x\nb y\n")
-    res = run_traversal(g, RunConfig(threshold=0.75, start=g.id_of("c")))
+    res = run_traversal(g, RunConfig(threshold=0.75, start=g.id_of("c")), trace=True)
     # x is covered while a is processed, which completes the cover, so x
     # itself is never popped.
     ids = [g.id_of(x) for x in ("c", "b", "y", "a")]
@@ -81,7 +81,7 @@ def test_queue_drains_before_stack():
 def test_threshold_is_strict_lower_bound():
     # A node with score exactly r is a community node (broker iff score < r).
     g = graph("a b\nb c\n")
-    res = run_traversal(g, RunConfig(threshold=0.5, start=g.id_of("a")))
+    res = run_traversal(g, RunConfig(threshold=0.5, start=g.id_of("a")), trace=True)
     b = g.id_of("b")
     assert res.ins[b] == pytest.approx(0.5)
     assert res.node_type[b] == NodeType.COMMUNITY
@@ -99,7 +99,7 @@ def test_inspection_counter_bound():
     for method in ("ins", "cond"):
         for _ in range(15):
             g = random_graph(rng, rng.randrange(1, 25), rng.random())
-            res = run_traversal(g, RunConfig(method=method))
+            res = run_traversal(g, RunConfig(method=method), trace=True)
             expected = sum(1 + g.degree(v) for v in res.processing_order)
             assert res.inspections == expected
             assert res.inspections <= 2 * g.m + g.n
@@ -108,8 +108,8 @@ def test_inspection_counter_bound():
 def test_traversal_deterministic():
     rng = random.Random(3)
     g = random_graph(rng, 30, 0.2)
-    a = run_traversal(g, RunConfig(threshold=0.7))
-    b = run_traversal(g, RunConfig(threshold=0.7))
+    a = run_traversal(g, RunConfig(threshold=0.7), trace=True)
+    b = run_traversal(g, RunConfig(threshold=0.7), trace=True)
     assert a.community == b.community
     assert a.discovery_order == b.discovery_order
 
@@ -123,6 +123,6 @@ def test_cond_method_covers_only_processed_frontier():
     # COND marks nodes covered when categorized, not by spreading; still every
     # node ends up categorized exactly once.
     g = graph("a b\nb c\nc d\nd a\n")
-    res = run_traversal(g, RunConfig(method="cond"))
+    res = run_traversal(g, RunConfig(method="cond"), trace=True)
     assert sorted(res.discovery_order) == list(range(g.n))
     assert res.ins.count(0.0) == 1 and res.ins.count(None) == 3

@@ -39,7 +39,7 @@ FINAL_COMMUNITIES = [
 
 def run(walkthrough):
     cfg = RunConfig(method="ins", threshold=0.66, start=walkthrough.id_of("N"))
-    return cfg, run_traversal(walkthrough, cfg)
+    return cfg, run_traversal(walkthrough, cfg, trace=True)
 
 
 def test_discovery_sequence_matches_golden_rows(walkthrough):
