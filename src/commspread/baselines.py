@@ -8,20 +8,20 @@ from .cover import Cover, finalize
 from .graph import Graph
 from .refine import maximize_modularity, reduce_graph
 
+LPA_MAX_PASSES = 100
 
-def label_propagation(g: Graph, seed: int, max_iters: int = 100) -> Cover:
+
+def label_propagation(g: Graph, seed: int) -> Cover:
     """Asynchronous label propagation with a seeded visit order.
 
     Each node adopts the most frequent label among its neighbors (ties go to
     the smallest label); iteration stops when a full pass changes nothing or
-    after ``max_iters`` passes.  Deterministic for a fixed seed.
+    after ``LPA_MAX_PASSES`` passes.  Deterministic for a fixed seed.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
     rng = random.Random(seed)
     labels = list(range(g.n))
     order = list(range(g.n))
-    for _ in range(max_iters):
+    for _ in range(LPA_MAX_PASSES):
         rng.shuffle(order)
         changed = False
         for v in order:

@@ -48,25 +48,6 @@ class RunConfig:
 
 
 @dataclass
-class ClusterAccumulator:
-    """Incremental cut/volume state for one growing cluster."""
-
-    volume: int
-    cut: int
-
-    @classmethod
-    def seeded(cls, g: Graph, v: int) -> "ClusterAccumulator":
-        d = g.degree(v)
-        return cls(volume=d, cut=d)
-
-    def add(self, degree: int, edges_into_cluster: int) -> None:
-        """Absorb a node; the cut loses its edges into the cluster and gains
-        its outward edges."""
-        self.volume += degree
-        self.cut += degree - 2 * edges_into_cluster
-
-
-@dataclass
 class TraversalResult:
     """Per-node outcome of a traversal plus its optional trace.
 
@@ -101,16 +82,15 @@ def classify_by_conductance(
     ``k_o`` (excluding the target) and the cut edges not incident on the
     target ``alpha``.  Returns True for a community node, False for a broker.
     All comparisons are exact integer arithmetic; equality means broker.
-    """
-    if min(k_t, k_ts, k_s, k_o, alpha) < 0:
-        raise ValueError("all conductance parameters must be non-negative")
-    if k_ts > k_t:
-        raise ValueError("edges into the cluster cannot exceed the target degree")
 
+    Precondition, met by the traversal by construction and not checked:
+    ``k_ts <= k_t``, ``k_o >= 0`` (the target lies outside the cluster) and
+    ``alpha >= 0`` (the cut includes the target's ``k_ts`` edges).
+    """
     # Degenerate volumes: conductance is defined as 0 when the smaller side
     # has volume 0, so it can only strictly decrease when the old value was
     # positive and the new one hits a zero-volume complement.
-    if min(k_s, k_t + k_o) == 0:
+    if k_s == 0 or k_t + k_o == 0:
         return False
     if k_o == 0:
         return alpha + k_ts > 0
@@ -146,12 +126,11 @@ def run_traversal(g: Graph, cfg: RunConfig, trace: bool = False) -> TraversalRes
         node_type=[UNCATEGORIZED] * n,
         ins=[None] * n if trace else [],
     )
-    if n == 0:
-        return result
-
     start = cfg.start
     if start is not None and not 0 <= start < n:
         raise ValueError(f"start node {start} out of range")
+    if n == 0:
+        return result
 
     covered = bytearray(n)
     is_covered = covered.__getitem__
@@ -165,26 +144,28 @@ def run_traversal(g: Graph, cfg: RunConfig, trace: bool = False) -> TraversalRes
     ins = result.ins
     discovery = result.discovery_order
     processing = result.processing_order
+    degree = list(map(len, adj))
 
     # A node belongs to cluster c exactly when comm[node] == c: community
     # nodes carry their seed's label, and every other node keeps its own id,
-    # which names a processed seed only for that seed itself.
+    # which names a processed seed only for that seed itself.  Cluster c's
+    # volume and cut are volume[c] and cut[c].  They start as the degree of
+    # c, the one-node cluster it seeds, and change only once c is processed.
     if cfg.method == "cond":
         twom = 2 * g.m
-        clusters: dict[int, ClusterAccumulator] = {}
+        volume = degree[:]
+        cut = degree[:]
         label_of = comm.__getitem__
 
         def joins(v: int, u: int) -> bool:
             c = comm[v]
-            acc = clusters.get(c)
-            if acc is None:  # v is the seed of its cluster
-                acc = clusters[c] = ClusterAccumulator.seeded(g, v)
-            k_t = len(adj[u])
+            k_s = volume[c]
+            k_t = degree[u]
             k_ts = list(map(label_of, adj[u])).count(c)
-            if classify_by_conductance(
-                k_t, k_ts, acc.volume, twom - acc.volume - k_t, acc.cut - k_ts
-            ):
-                acc.add(k_t, k_ts)
+            if classify_by_conductance(k_t, k_ts, k_s, twom - k_s - k_t, cut[c] - k_ts):
+                # The cut loses u's edges into the cluster and gains the rest.
+                volume[c] = k_s + k_t
+                cut[c] += k_t - 2 * k_ts
                 return True
             return False
 
@@ -200,7 +181,7 @@ def run_traversal(g: Graph, cfg: RunConfig, trace: bool = False) -> TraversalRes
     # Restart nodes come from a degree-sorted list walked by a monotone
     # cursor, so selecting all of them costs O(n) total even on graphs with
     # many components.  The sort is stable, so ties keep ascending ids.
-    by_degree = sorted(range(n), key=list(map(len, adj)).__getitem__)
+    by_degree = sorted(range(n), key=degree.__getitem__)
     cursor = 0
 
     while cover_count < n:

@@ -1,7 +1,8 @@
-"""Shared fixtures: benchmark graphs and random-graph helpers."""
+"""Shared fixtures: benchmark graphs, a text edge-list parser and random-graph helpers."""
 
 from __future__ import annotations
 
+import io
 import pathlib
 import random
 
@@ -18,6 +19,11 @@ def load_dataset(name: str) -> Graph:
         pytest.skip(f"dataset {name} not present; run scripts/fetch_datasets.py")
     with path.open("r", encoding="utf-8") as fh:
         return load_edge_list(fh)
+
+
+def graph(text: str) -> Graph:
+    """Graph parsed from edge-list text."""
+    return load_edge_list(io.StringIO(text))
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from commspread import Cover, Graph
 from commspread.cover import UNASSIGNED
 from commspread.graph import LoadReport
 from commspread.refine import MOVE_TOLERANCE, ReducedGraph
-from commspread.traversal import NodeType
+from commspread.traversal import NodeType, RunConfig, TraversalResult
 
 
 def graph_from_edges(edges, extra_nodes=()) -> Graph:
@@ -70,6 +70,90 @@ def exact_conductance(g: Graph, members: set[int]) -> Fraction:
     if denom <= 0:
         return Fraction(0)
     return Fraction(cut, denom)
+
+
+def lowers_conductance(g: Graph, members: set[int], target: int) -> bool:
+    """Does absorbing ``target`` strictly lower the conductance of ``members``?"""
+    return exact_conductance(g, members | {target}) < exact_conductance(g, members)
+
+
+def conductance_args(g: Graph, members: set[int], target: int) -> tuple[int, int, int, int, int]:
+    """``(k_t, k_ts, k_s, k_o, alpha)`` of absorbing ``target`` into ``members``, counted afresh.
+
+    The arguments of :func:`commspread.traversal.classify_by_conductance`:
+    target degree, target edges into the cluster, cluster volume, outside
+    volume without the target, and cut edges not incident on the target.
+    """
+    k_t = g.degree(target)
+    k_ts = sum(1 for u in g.adj[target] if u in members)
+    volume = sum(g.degree(v) for v in members)
+    cut = sum(1 for u, v in g.edges() if (u in members) != (v in members))
+    return k_t, k_ts, volume, 2 * g.m - volume - k_t, cut - k_ts
+
+
+def traversal(g: Graph, cfg: RunConfig) -> TraversalResult:
+    """Traced traversal with every score and decision computed from scratch.
+
+    The rule of :func:`commspread.run_traversal`, evaluated directly: a
+    broker stack and a community queue, drained before the stack is popped;
+    restarts at ``cfg.start`` while it is uncovered, else at the uncovered
+    node of lowest degree (ties: smallest id), which becomes a broker with
+    score 0; every fresh neighbour of a processed node is covered before
+    any of them is classified.  An ins score counts covered neighbours
+    anew, and a cond decision is :func:`lowers_conductance` of the current
+    cluster members.
+    """
+    n = g.n
+    covered = [False] * n
+    community = list(range(n))
+    node_type = [NodeType.UNCATEGORIZED] * n
+    ins: list[float | None] = [None] * n
+    members: dict[int, set[int]] = {}
+    processing: list[int] = []
+    inspections = 0
+    stack: list[int] = []
+    queue: deque[int] = deque()
+    while not all(covered):
+        if queue:
+            v = queue.popleft()
+        elif stack:
+            v = stack.pop()
+        else:
+            if cfg.start is not None and not covered[cfg.start]:
+                v = cfg.start
+            else:
+                v = min((u for u in range(n) if not covered[u]), key=lambda u: (g.degree(u), u))
+            covered[v] = True
+            node_type[v] = NodeType.BROKER
+            ins[v] = 0.0
+        processing.append(v)
+        inspections += 1 + g.degree(v)
+        fresh = [u for u in g.adj[v] if not covered[u]]
+        for u in fresh:
+            covered[u] = True
+        seed = community[v]
+        cluster = members.setdefault(seed, {seed})
+        for u in fresh:
+            if cfg.method == "ins":
+                ins[u] = sum(covered[w] for w in g.adj[u]) / g.degree(u)
+                joins = ins[u] >= cfg.threshold
+            else:
+                joins = lowers_conductance(g, cluster, u)
+            if joins:
+                node_type[u] = NodeType.COMMUNITY
+                community[u] = seed
+                cluster.add(u)
+                queue.append(u)
+            else:
+                node_type[u] = NodeType.BROKER
+                stack.append(u)
+    return TraversalResult(
+        community=community,
+        node_type=node_type,
+        ins=ins,
+        processing_order=processing,
+        inspections=inspections,
+    )
 
 
 def delta_modularity(g: Graph, partition: list[int], v: int, target: int) -> float:

@@ -1,18 +1,13 @@
 """Reference algorithms: label propagation and greedy modularity baseline."""
 
-import io
 import random
 
 import pytest
 
-from commspread import Cover, Graph, label_propagation, load_edge_list, louvain, modularity
+from commspread import Cover, Graph, label_propagation, louvain, modularity
 
-from conftest import load_dataset, random_graph
+from conftest import graph, load_dataset, random_graph
 from oracles import communities
-
-
-def graph(text: str) -> Graph:
-    return load_edge_list(io.StringIO(text))
 
 
 TWO_CLIQUES = (
@@ -44,11 +39,6 @@ def test_label_propagation_covers_all_nodes():
         cover = label_propagation(g, seed=1)
         assert len(cover.assignment) == g.n
         assert not cover.unassigned
-
-
-def test_label_propagation_rejects_bad_iters():
-    with pytest.raises(ValueError):
-        label_propagation(graph("a b\n"), seed=0, max_iters=0)
 
 
 def test_louvain_finds_cliques():

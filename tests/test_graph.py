@@ -7,16 +7,12 @@ import pytest
 
 from commspread import Graph, GraphParseError, load_edge_list
 
-from conftest import random_graph
+from conftest import graph, random_graph
 from oracles import weighted_graph
 
 
-def parse(text: str) -> Graph:
-    return load_edge_list(io.StringIO(text))
-
-
 def test_basic_parse():
-    g = parse("a b\nb c\n")
+    g = graph("a b\nb c\n")
     assert (g.n, g.m) == (3, 2)
     assert g.labels == ["a", "b", "c"]
     assert g.adj == [[1], [0, 2], [1]]
@@ -25,20 +21,20 @@ def test_basic_parse():
 
 
 def test_comments_and_blank_lines_ignored():
-    g = parse("# header\n\na b\n   \n# trailer\nb c\n")
+    g = graph("# header\n\na b\n   \n# trailer\nb c\n")
     assert (g.n, g.m) == (3, 2)
 
 
 def test_malformed_line_reports_line_number():
     with pytest.raises(GraphParseError) as exc:
-        parse("a b\na b c\n")
+        graph("a b\na b c\n")
     assert exc.value.line_number == 2
     assert "expected 2 tokens" in str(exc.value)
 
 
 def test_bad_line_number_counts_blank_and_comment_lines():
     with pytest.raises(GraphParseError) as exc:
-        parse("# header\n\na b\n  # indented\n\t\nc\n")
+        graph("# header\n\na b\n  # indented\n\t\nc\n")
     assert exc.value.line_number == 6
     assert str(exc.value) == "line 6: expected 2 tokens, found 1: 'c'"
 
@@ -50,7 +46,7 @@ def test_bytes_stream_decoded_as_utf8():
 
 
 def test_crlf_tabs_and_indented_comments():
-    g = parse("a\tb\r\n  # comment\r\n\tb \t c\r\n\r\n")
+    g = graph("a\tb\r\n  # comment\r\n\tb \t c\r\n\r\n")
     assert g.labels == ["a", "b", "c"]
     assert g.adj == [[1], [0, 2], [1]]
 
@@ -58,7 +54,7 @@ def test_crlf_tabs_and_indented_comments():
 def test_crlf_bytes_stream_parses_like_text():
     text = "a\tb\r\n  # comment\r\n\tb \t c\r\n\r\n"
     g = load_edge_list(io.BytesIO(text.encode("utf-8")))
-    assert (g.labels, g.adj) == (parse(text).labels, parse(text).adj)
+    assert (g.labels, g.adj) == (graph(text).labels, graph(text).adj)
 
 
 def test_invalid_utf8_reports_line_number():
@@ -70,19 +66,19 @@ def test_invalid_utf8_reports_line_number():
 
 
 def test_duplicates_and_self_loops_collapsed_and_counted():
-    g = parse("a b\nb a\na a\na b\n")
+    g = graph("a b\nb a\na a\na b\n")
     assert (g.n, g.m) == (2, 1)
     assert g.load_report.duplicate_edges == 2
     assert g.load_report.self_loops == 1
 
 
 def test_empty_input_gives_empty_graph():
-    g = parse("")
+    g = graph("")
     assert (g.n, g.m) == (0, 0)
 
 
 def test_first_appearance_ids_and_label_roundtrip():
-    g = parse("x y\ny z\nz x\n")
+    g = graph("x y\ny z\nz x\n")
     assert g.id_of("x") == 0 and g.id_of("z") == 2
     assert g.label_of(1) == "y"
     with pytest.raises(KeyError):
@@ -90,7 +86,7 @@ def test_first_appearance_ids_and_label_roundtrip():
 
 
 def test_edges_listed_once_sorted():
-    g = parse("b a\nc a\nb c\n")
+    g = graph("b a\nc a\nb c\n")
     assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 2)]
     assert g.degree(0) == 2
 

@@ -1,21 +1,16 @@
 """Modularity and conductance measures against independent references."""
 
-import io
 import random
 
 import pytest
 
-from commspread import Cover, Graph, cover_stats, load_edge_list, louvain, modularity
+from commspread import Cover, Graph, cover_stats, louvain, modularity
 from commspread.cover import UNASSIGNED
 
-from conftest import random_graph, random_partition
+from conftest import graph, random_graph, random_partition
 from oracles import communities, exact_conductance
 
 nx = pytest.importorskip("networkx")
-
-
-def graph(text: str) -> Graph:
-    return load_edge_list(io.StringIO(text))
 
 
 def to_networkx(g: Graph):

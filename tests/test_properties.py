@@ -205,6 +205,16 @@ def test_untraced_traversal_equals_traced(g, method, threshold):
     assert plain.ins == plain.discovery_order == plain.processing_order == []
 
 
+@settings(deadline=None, max_examples=300)
+@given(GRAPHS, st.sampled_from(["ins", "cond"]), st.sampled_from([0.5, 0.7, 1.0]), st.data())
+def test_traversal_equals_brute_force_oracle(g, method, threshold, data):
+    start = data.draw(st.none() | st.integers(0, g.n - 1)) if g.n else None
+    cfg = RunConfig(method=method, threshold=threshold, start=start)
+    got, expected = run_traversal(g, cfg, trace=True), oracles.traversal(g, cfg)
+    for field in ("community", "node_type", "processing_order", "ins", "inspections"):
+        assert getattr(got, field) == getattr(expected, field), field
+
+
 @settings(deadline=None)
 @given(GRAPHS, st.data())
 def test_refine_cover_never_lowers_modularity(g, data):

@@ -1,11 +1,10 @@
 """Broker allocation, graph contraction and modularity maximization."""
 
-import io
 import random
 
 import pytest
 
-from commspread import Cover, Graph, RunConfig, load_edge_list, modularity, run_traversal
+from commspread import Cover, Graph, RunConfig, modularity, run_traversal
 from commspread.cover import UNASSIGNED
 from commspread.refine import (
     MOVE_TOLERANCE,
@@ -18,12 +17,8 @@ from commspread.refine import (
 )
 from commspread.traversal import NodeType
 
-from conftest import random_graph, random_partition
+from conftest import graph, random_graph, random_partition
 from oracles import communities, delta_modularity, local_moves, weighted_graph
-
-
-def graph(text: str) -> Graph:
-    return load_edge_list(io.StringIO(text))
 
 
 def numbered(n: int, edges: list[tuple[int, int]]) -> Graph:

@@ -1,18 +1,13 @@
 """Traversal engine: frontier discipline, scoring, restarts, instrumentation."""
 
-import io
 import random
 
 import pytest
 
-from commspread import Graph, RunConfig, load_edge_list, run_traversal
+from commspread import Graph, RunConfig, detect, run_traversal
 from commspread.traversal import NodeType, ins_score
 
-from conftest import random_graph
-
-
-def graph(text: str) -> Graph:
-    return load_edge_list(io.StringIO(text))
+from conftest import graph, random_graph
 
 
 def test_config_validation():
@@ -45,6 +40,13 @@ def test_start_override_and_range_check():
     assert res.processing_order[0] == g.id_of("b")
     with pytest.raises(ValueError):
         run_traversal(g, RunConfig(start=5))
+
+
+def test_start_out_of_range_on_empty_graph():
+    with pytest.raises(ValueError):
+        run_traversal(Graph.from_edges([]), RunConfig(start=3))
+    with pytest.raises(ValueError):
+        detect(Graph.from_edges([]), RunConfig(start=3))
 
 
 def test_every_node_categorized_both_methods():
