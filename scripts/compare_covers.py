@@ -15,7 +15,8 @@ cover next to its digest.  It also digests every graph it builds
 ``reduce_graph`` results of the singleton cover and of a seeded random
 cover with unassigned nodes.  That cover is shaped like the pipeline's:
 each label is the id of one of its members, so no unassigned node's id is
-a label.  It does so for the shipped datasets and for N seeded random
+a label.  It also digests the ``sample_edges`` samples of every graph at
+``SAMPLE_FRACTIONS``.  It does so for the shipped datasets and for N seeded random
 graphs (Erdos-Renyi and planted partitions, some with isolated nodes, with
 a few duplicate edges and self-loops in the edge list), and for two fixed
 seeded graphs of 2000 nodes, large enough for local moves to run several
@@ -77,6 +78,7 @@ def random_edges(rng: random.Random) -> tuple[list[tuple[str, str]], list[str]]:
 
 
 MID_SIZE = ("er2000", "planted2000")
+SAMPLE_FRACTIONS = (0.3, 0.7)
 
 
 def mid_size_edges(name: str) -> tuple[list[tuple[str, str]], list[str]]:
@@ -174,6 +176,9 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
             rg = reduce_graph(g, cover)
             text = json.dumps(structure(rg.graph) + [rg.label_map, rg.member_map])
             out[f"{name}/reduce-{cover_name}"] = (sha(text), None)
+        for fraction in SAMPLE_FRACTIONS:
+            text = json.dumps(structure(g.sample_edges(fraction, seed=0)))
+            out[f"{name}/sample-{fraction}"] = (sha(text), None)
         for alg, run in algorithms.items():
             cover = run(g)
             text = io.StringIO()

@@ -22,19 +22,36 @@ class CliError(Exception):
     """Input or usage error; maps to exit code 2."""
 
 
+def _utf8_lines(lines):
+    """``lines`` in order, up to the first that is not valid UTF-8.
+
+    ``lines`` come from a file read with ``errors="surrogateescape"``, so each
+    encodes back to the bytes it was read from; the first that does not
+    decode raises :class:`GraphParseError` naming its line and byte offset.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphParseError(
+                lineno, f"not valid UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None
+        yield line
+
+
 def _parse_utf8(path: str, parse):
     """``parse`` applied to the lines of ``path`` read as UTF-8 text.
 
     Text mode splits lines at every newline convention.  If the file is not
-    valid UTF-8 its lines are read again as the bytes they came from, so that
-    ``parse``, which decodes bytes line by line, names the first bad line.
+    valid UTF-8 it is read again and checked line by line in file order, so
+    the first bad line is named, whether it is malformed or not UTF-8.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh)
     except UnicodeDecodeError:
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            return parse(line.encode("utf-8", "surrogateescape") for line in fh)
+            return parse(_utf8_lines(fh))
 
 
 def _load_graph(path: str) -> tuple[Graph, float]:
@@ -165,7 +182,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep_threshold(args) -> int:
-    if args.step <= 0 or args.stop < args.start_r:
+    if not (args.step > 0 and args.start_r <= args.stop):
         raise CliError("need step > 0 and a non-empty threshold range")
     steps = []
     r = args.start_r

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterable
 
 from .graph import Graph
 
@@ -75,22 +75,16 @@ def write_cover_file(g: Graph, cover: Cover, stream: IO) -> None:
         stream.write(f"{label}\t{c}\n")
 
 
-def read_cover_file(g: Graph, stream: IO) -> Cover:
+def read_cover_file(g: Graph, stream: Iterable[str]) -> Cover:
     """Parse a cover file written by :func:`write_cover_file`.
 
-    Every node of ``g`` must appear exactly once, with a non-negative integer
-    community id.  A malformed line raises a ValueError naming its number.
+    ``stream`` yields text lines.  Every node of ``g`` must appear exactly
+    once, with a non-negative integer community id.  A malformed line raises
+    a ValueError naming its number.
     """
     assignment = [UNASSIGNED] * g.n
     unknown: list[str] = []
     for lineno, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(
-                    f"line {lineno}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
-                ) from None
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

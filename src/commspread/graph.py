@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class GraphParseError(ValueError):
@@ -80,39 +80,7 @@ class Graph:
     def label_of(self, v: int) -> str:
         return self.labels[v]
 
-    def edges(self) -> Iterable[tuple[int, int]]:
-        """Each undirected edge once, as (u, v) with u < v."""
-        for u, nbrs in enumerate(self.adj):
-            for v in nbrs:
-                if u < v:
-                    yield u, v
-
     # -- construction ------------------------------------------------------
-
-    @classmethod
-    def _build(
-        cls,
-        labels: list[str],
-        edges: dict[tuple[int, int], float],
-        self_loops: list[float],
-        index: Optional[dict[str, int]] = None,
-    ) -> "Graph":
-        """Graph on ``len(self_loops)`` nodes from ``{(u, v): weight}`` with u < v.
-
-        Appending the edges in ascending ``(u, v)`` order leaves every
-        adjacency list sorted.  Used for sampled graphs; :meth:`from_edges`
-        builds input graphs directly.
-        """
-        n = len(self_loops)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        weights: list[list[float]] = [[] for _ in range(n)]
-        for u, v in sorted(edges):
-            w = edges[u, v]
-            adj[u].append(v)
-            weights[u].append(w)
-            adj[v].append(u)
-            weights[v].append(w)
-        return cls(adj=adj, weights=weights, self_loops=self_loops, labels=labels, index=index)
 
     @classmethod
     def from_edges(
@@ -185,39 +153,42 @@ class Graph:
         k = int(fraction * len(all_edges))
         rng = random.Random(seed)
         keep = all_edges if k == len(all_edges) else rng.sample(all_edges, k)
-        return Graph._build(
-            self.labels,
-            {(u, v): w for u, v, w in keep},
-            list(self.self_loops),
+        # Appending the kept edges in ascending (u, v) order leaves every
+        # adjacency list sorted.
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        weights: list[list[float]] = [[] for _ in range(self.n)]
+        for u, v, w in sorted(keep):
+            adj[u].append(v)
+            weights[u].append(w)
+            adj[v].append(u)
+            weights[v].append(w)
+        return Graph(
+            adj=adj,
+            weights=weights,
+            self_loops=list(self.self_loops),
+            labels=self.labels,
             index=self.index,
         )
 
 
-def load_edge_list(stream: IO) -> Graph:
+def load_edge_list(stream: Iterable[str]) -> Graph:
     """Parse a whitespace-separated edge list into a :class:`Graph`.
 
     One edge per line, two tokens per line; lines starting with ``#`` and
-    blank lines are ignored.  Bytes streams are decoded as UTF-8 line by
-    line.  Raises :class:`GraphParseError` with the offending line number on
-    a malformed line or one that is not valid UTF-8.  Empty input yields an
-    empty graph.
+    blank lines are ignored.  ``stream`` yields text lines, from a file
+    opened in text mode or any iterable of strings.  Raises
+    :class:`GraphParseError` with the offending line number on a malformed
+    line.  Empty input yields an empty graph.
     """
 
     def lines():
-        for lineno, raw in enumerate(stream, start=1):
-            if isinstance(raw, bytes):
-                try:
-                    raw = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise GraphParseError(
-                        lineno, f"not valid UTF-8 ({exc.reason} at byte {exc.start})"
-                    ) from None
-            tokens = raw.split()
+        for lineno, line in enumerate(stream, start=1):
+            tokens = line.split()
             if not tokens or tokens[0][0] == "#":
                 continue
             if len(tokens) != 2:
                 raise GraphParseError(
-                    lineno, f"expected 2 tokens, found {len(tokens)}: {raw.strip()!r}"
+                    lineno, f"expected 2 tokens, found {len(tokens)}: {line.strip()!r}"
                 )
             yield tokens
 

@@ -46,7 +46,8 @@ class CoverStats:
 
 
 def cover_stats(g: Graph, cover: Cover) -> CoverStats:
-    """Aggregate size and quality statistics for a cover in one edge pass.
+    """Size and quality statistics for a cover: one edge pass for the
+    modularity, a second for the sizes, volumes and cuts.
 
     A community's conductance is its cut over the smaller of its volume and
     the rest of the volume, or 0 when that minimum is 0.

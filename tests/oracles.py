@@ -53,6 +53,11 @@ def graph_from_edges(edges, extra_nodes=()) -> Graph:
     )
 
 
+def edges(g: Graph) -> list[tuple[int, int]]:
+    """Each undirected edge once, as (u, v) with u < v, in adjacency order."""
+    return [(u, v) for u, nbrs in enumerate(g.adj) for v in nbrs if u < v]
+
+
 def communities(cover: Cover) -> dict[int, set[int]]:
     """Inverse index: community label -> member set (unassigned nodes left out)."""
     index: dict[int, set[int]] = {}
@@ -64,7 +69,7 @@ def communities(cover: Cover) -> dict[int, set[int]]:
 
 def exact_conductance(g: Graph, members: set[int]) -> Fraction:
     """Rational set conductance; 0 when the smaller side has volume 0."""
-    cut = sum(1 for u, v in g.edges() if (u in members) != (v in members))
+    cut = sum(1 for u, v in edges(g) if (u in members) != (v in members))
     volume = sum(g.degree(v) for v in members)
     denom = min(volume, 2 * g.m - volume)
     if denom <= 0:
@@ -87,7 +92,7 @@ def conductance_args(g: Graph, members: set[int], target: int) -> tuple[int, int
     k_t = g.degree(target)
     k_ts = sum(1 for u in g.adj[target] if u in members)
     volume = sum(g.degree(v) for v in members)
-    cut = sum(1 for u, v in g.edges() if (u in members) != (v in members))
+    cut = sum(1 for u, v in edges(g) if (u in members) != (v in members))
     return k_t, k_ts, volume, 2 * g.m - volume - k_t, cut - k_ts
 
 
@@ -276,8 +281,21 @@ def local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
 
 
 def weighted_graph(edges: dict[tuple[int, int], float], self_loops: list[float]) -> Graph:
-    """Unlabeled weighted graph on ``len(self_loops)`` nodes from ``{(u, v): weight}``, u < v."""
-    return Graph._build([], edges, self_loops)
+    """Unlabeled weighted graph on ``len(self_loops)`` nodes from ``{(u, v): weight}``, u < v.
+
+    Appending the edges in ascending ``(u, v)`` order leaves every adjacency
+    list sorted.
+    """
+    n = len(self_loops)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    weights: list[list[float]] = [[] for _ in range(n)]
+    for u, v in sorted(edges):
+        w = edges[u, v]
+        adj[u].append(v)
+        weights[u].append(w)
+        adj[v].append(u)
+        weights[v].append(w)
+    return Graph(adj=adj, weights=weights, self_loops=self_loops, labels=[])
 
 
 def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:

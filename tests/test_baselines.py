@@ -7,7 +7,7 @@ import pytest
 from commspread import Cover, Graph, label_propagation, louvain, modularity
 
 from conftest import graph, load_dataset, random_graph
-from oracles import communities
+from oracles import communities, edges
 
 
 TWO_CLIQUES = (
@@ -61,7 +61,7 @@ def test_louvain_empty_graph():
 def test_louvain_matches_networkx(name):
     nx = pytest.importorskip("networkx")
     g = load_dataset(name)
-    ng = nx.Graph(g.edges())
+    ng = nx.Graph(edges(g))
     ng.add_nodes_from(range(g.n))
     best = 0.0
     for seed in range(5):

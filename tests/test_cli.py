@@ -126,23 +126,60 @@ def test_detect_unwritable_output_exits_2(capsys, tmp_path, walkthrough_path):
     ids=lambda argv: argv[0],
 )
 def test_non_utf8_edge_list_exits_2_naming_the_line(capsys, tmp_path, monkeypatch, command):
+    # Lines are checked in file order, so the first bad line is named whether
+    # it is malformed or not UTF-8; the offset counts bytes, not characters.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cover.tsv").write_text("a\t0\nb\t0\n")
     bad = tmp_path / "bad.txt"
-    bad.write_bytes(b"a b\nb \xff\n")
-    code, _, stderr = run_cli(capsys, command[0], "--input", str(bad), *command[1:])
-    assert code == 2
-    assert "line 2: not valid UTF-8" in stderr
+    for data, message in [
+        (b"a b\nb \xff\n", "line 2: not valid UTF-8 (invalid start byte at byte 2)"),
+        ("a b\n# caf\u00e9\n".encode() + b"b \xff\nc d\n", "line 3: not valid UTF-8 (invalid start byte at byte 2)"),
+        (b"a b\nc\nd \xff\n", "line 2: expected 2 tokens, found 1: 'c'"),
+        (b"a b\nd \xff\nc\n", "line 2: not valid UTF-8 (invalid start byte at byte 2)"),
+        (b"a b\nb \xc3\xa9 \xff\n", "line 2: not valid UTF-8 (invalid start byte at byte 5)"),
+    ]:
+        bad.write_bytes(data)
+        code, stdout, stderr = run_cli(capsys, command[0], "--input", str(bad), *command[1:])
+        assert code == 2
+        assert stdout == ""
+        assert stderr == f"error: cannot parse {bad}: {message}\n"
 
 
 def test_eval_non_utf8_cover_exits_2_naming_the_line(capsys, tmp_path):
     edges = tmp_path / "g.txt"
     edges.write_text("a b\n")
     cover = tmp_path / "cover.tsv"
-    cover.write_bytes(b"a\t0\n\xe9\t0\n")
-    code, _, stderr = run_cli(capsys, "eval", "--input", str(edges), "--cover", str(cover))
-    assert code == 2
-    assert "line 2: not valid UTF-8" in stderr
+    for data, message in [
+        (b"a\t0\n\xe9\t0\n", "line 2: not valid UTF-8 (invalid continuation byte at byte 0)"),
+        (b"a\t0\nb\t0\n\xe9\t1\n", "line 3: not valid UTF-8 (invalid continuation byte at byte 0)"),
+        (b"a\t0\nb 0\n\xe9\t1\n", "line 2: expected label<TAB>community id: 'b 0'"),
+        (b"a\t0\n\xe9\t1\nb 0\n", "line 2: not valid UTF-8 (invalid continuation byte at byte 0)"),
+    ]:
+        cover.write_bytes(data)
+        code, _, stderr = run_cli(capsys, "eval", "--input", str(edges), "--cover", str(cover))
+        assert code == 2
+        assert stderr == f"error: {message}\n"
+
+
+def test_multibyte_labels_and_crlf_round_trip_through_detect(capsys, tmp_path):
+    # A CRLF file gives the same graph and cover as the LF one.
+    text = "a\tb\n  # caf\u00e9\n\tb \t \u00e9\n\n\u00e9 a\nc d\n"
+    edges = tmp_path / "g.txt"
+    cover = tmp_path / "cover.tsv"
+    results = []
+    for newline in ("\n", "\r\n"):
+        edges.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        code, stdout, _ = run_cli(
+            capsys, "detect", "--input", str(edges), "--method", "ins", "--output", str(cover)
+        )
+        assert code == 0
+        results.append((stdout.split("\t")[:4], cover.read_bytes()))
+        code, _, _ = run_cli(capsys, "eval", "--input", str(edges), "--cover", str(cover))
+        assert code == 0
+    assert results[0] == results[1]
+    assert results[0][0][:2] == ["5", "4"]
+    labels = [line.split("\t")[0] for line in results[0][1].decode("utf-8").splitlines()]
+    assert labels == ["a", "b", "c", "d", "\u00e9"]
 
 
 def test_lone_cr_line_ends_split_lines(capsys, tmp_path):
@@ -316,6 +353,16 @@ def test_sweep_threshold_rejects_empty_range(capsys, walkthrough_path):
         "--step", "0.1",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("option", ["--from", "--to", "--step"])
+def test_sweep_threshold_rejects_nan(capsys, walkthrough_path, option):
+    code, stdout, stderr = run_cli(
+        capsys, "sweep-threshold", "--input", str(walkthrough_path), option, "nan"
+    )
+    assert code == 2
+    assert "error: need step > 0 and a non-empty threshold range" in stderr
+    assert stdout == ""
 
 
 def test_sweep_threshold_rejects_range_beyond_one(capsys, walkthrough_path):

@@ -8,7 +8,7 @@ from commspread import Cover, Graph, cover_stats, louvain, modularity
 from commspread.cover import UNASSIGNED
 
 from conftest import graph, random_graph, random_partition
-from oracles import communities, exact_conductance
+from oracles import communities, edges, exact_conductance
 
 nx = pytest.importorskip("networkx")
 
@@ -16,7 +16,7 @@ nx = pytest.importorskip("networkx")
 def to_networkx(g: Graph):
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
+    h.add_edges_from(edges(g))
     return h
 
 

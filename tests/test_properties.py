@@ -1,5 +1,7 @@
 """Property tests over edge-case graph families and small random graphs."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,7 +185,7 @@ def test_contraction_equals_dict_and_sort_oracle(g, data):
     # with labels above n.
     weight = st.floats(0.01, 1.0)
     fractional = oracles.weighted_graph(
-        {e: data.draw(weight) for e in g.edges()}, [data.draw(weight) for _ in range(g.n)]
+        {e: data.draw(weight) for e in oracles.edges(g)}, [data.draw(weight) for _ in range(g.n)]
     )
     contracted = oracles.reduce_graph(fractional, data.draw(covers(fractional))).graph
     for level in (g, fractional, contracted):
@@ -193,6 +195,36 @@ def test_contraction_equals_dict_and_sort_oracle(g, data):
             for field in ("adj", "weights", "self_loops"):
                 assert getattr(got.graph, field) == getattr(expected.graph, field), field
             assert (got.label_map, got.member_map) == (expected.label_map, expected.member_map)
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(GRAPHS, mid_random_graphs()),
+    st.data(),
+    st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0]),
+    st.integers(0, 2**32),
+)
+def test_sample_edges_equals_dict_and_sort_oracle(g, data, fraction, seed):
+    # The weighted level has fractional weights and self-loops.
+    weight = st.floats(0.01, 1.0)
+    weighted = oracles.weighted_graph(
+        {e: data.draw(weight) for e in oracles.edges(g)}, [data.draw(weight) for _ in range(g.n)]
+    )
+    for level in (g, weighted):
+        population = [
+            (u, v, w)
+            for u, nbrs in enumerate(level.adj)
+            for v, w in zip(nbrs, level.weights[u])
+            if u < v
+        ]
+        keep = random.Random(seed).sample(population, int(fraction * len(population)))
+        expected = oracles.weighted_graph(
+            {(u, v): w for u, v, w in keep}, list(level.self_loops)
+        )
+        got = level.sample_edges(fraction, seed)
+        for field in ("adj", "weights", "self_loops"):
+            assert getattr(got, field) == getattr(expected, field), field
+        assert (got.labels, got.index) == (level.labels, level.index)
 
 
 @settings(deadline=None)
