@@ -7,11 +7,12 @@
 Both trees then run this script's digest mode in a subprocess, each with
 its own ``src/`` on ``PYTHONPATH``.  A run records the sha256 of the cover
 file written by every algorithm of ``tests/test_golden_covers.py`` (detect
-ins, cond and ins without modmax, ``louvain``, ``label_propagation``), of
-every ``TraversalResult`` field of a traced run under ins and cond, and of the
-``cover_stats`` of a seeded random partition, and the modularity of every
-cover next to its digest.  It also digests every graph it builds
-(adjacency, weights, self-loops, labels and load report) and the
+ins and cond, with and without modmax, ``louvain``, ``label_propagation``),
+of every ``TraversalResult`` field and its derived ``node_type`` of a
+traced run under ins and cond, and of the ``cover_stats`` of a seeded
+random partition, and the modularity of every cover next to its digest.
+It also digests every graph it builds (adjacency, weights, self-loops,
+labels and load report) and the
 ``reduce_graph`` results of the singleton cover and of a seeded random
 cover with unassigned nodes.  That cover is shaped like the pipeline's:
 each label is the id of one of its members, so no unassigned node's id is
@@ -149,6 +150,7 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
         "ins-skip": lambda g: detect(
             g, RunConfig(method="ins", threshold=0.75, run_modmax=False)
         ).cover,
+        "cond-skip": lambda g: detect(g, RunConfig(method="cond", run_modmax=False)).cover,
         "louvain": louvain,
         "lpa": lambda g: label_propagation(g, seed=0),
     }

@@ -184,17 +184,22 @@ def cmd_bench(args) -> int:
 def cmd_sweep_threshold(args) -> int:
     if not (args.step > 0 and args.start_r <= args.stop):
         raise CliError("need step > 0 and a non-empty threshold range")
-    steps = []
-    r = args.start_r
-    while r <= args.stop + 1e-9:
-        steps.append((r, _run_config(method="ins", threshold=round(r, 10))))
-        r += args.step
+    # Thresholds rise from the first to at most --to, so checking both ends
+    # checks all.  r + step > r for every r up to end once step exceeds half
+    # an ulp of end; a smaller step (0.4 + 1e-20 == 0.4) never ends the sweep.
+    _run_config(threshold=round(args.start_r, 10))
+    _run_config(threshold=args.stop)
+    end = args.stop + 1e-9  # slack for the float error the steps accumulate
+    if not args.step > math.ulp(end) / 2:
+        raise CliError(f"step {args.step:g} cannot advance the threshold up to {args.stop:g}")
     g, _ = _load_graph(args.input)
     print("r,Q,k")
-    for r, cfg in steps:
-        result = detect(g, cfg)
+    r = args.start_r
+    while r <= end:
+        result = detect(g, _run_config(method="ins", threshold=min(round(r, 10), args.stop)))
         q = modularity(g, result.cover)
         print(f"{r:.2f},{q:.6f},{result.cover.k}")
+        r += args.step
     return 0
 
 

@@ -175,7 +175,8 @@ def load_edge_list(stream: Iterable[str]) -> Graph:
     """Parse a whitespace-separated edge list into a :class:`Graph`.
 
     One edge per line, two tokens per line; lines starting with ``#`` and
-    blank lines are ignored.  ``stream`` yields text lines, from a file
+    blank lines are ignored.  No label starts with ``#``, as a cover file
+    could not list it.  ``stream`` yields text lines, from a file
     opened in text mode or any iterable of strings.  Raises
     :class:`GraphParseError` with the offending line number on a malformed
     line.  Empty input yields an empty graph.
@@ -190,6 +191,8 @@ def load_edge_list(stream: Iterable[str]) -> Graph:
                 raise GraphParseError(
                     lineno, f"expected 2 tokens, found {len(tokens)}: {line.strip()!r}"
                 )
+            if tokens[1][0] == "#":
+                raise GraphParseError(lineno, f"a label may not start with '#': {line.strip()!r}")
             yield tokens
 
     return Graph.from_edges(lines())

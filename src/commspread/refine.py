@@ -248,15 +248,11 @@ def refine_cover(g: Graph, cover: Cover) -> Cover:
     starting from the cover (unassigned nodes enter as singletons), then
     contracts the result and continues on the super-vertex levels of
     :func:`maximize_modularity`.  Communities keep the label of their
-    smallest original member's seed community.
+    smallest original member's seed community.  As in :func:`_local_moves`,
+    labels must be non-negative and not much above ``n``.
     """
-    labels = cover.with_singletons().assignment
-    # _local_moves indexes its totals by label, so the ids are ranked first.
-    # Ranking keeps their order, and with it the smallest-label tie rule.
-    ids = sorted(set(labels))
-    rank = dict(zip(ids, range(len(ids))))
-    partition = _local_moves(g, list(map(rank.__getitem__, labels)))
-    return maximize_modularity(reduce_graph(g, Cover(list(map(ids.__getitem__, partition)))))
+    partition = _local_moves(g, cover.with_singletons().assignment)
+    return maximize_modularity(reduce_graph(g, Cover(partition)))
 
 
 def maximize_modularity(rg: ReducedGraph) -> Cover:

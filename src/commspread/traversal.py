@@ -21,7 +21,6 @@ from .graph import Graph
 
 
 class NodeType(IntEnum):
-    UNCATEGORIZED = 0
     BROKER = 1
     COMMUNITY = 2
 
@@ -57,11 +56,18 @@ class TraversalResult:
     """
 
     community: list[int]
-    node_type: list[NodeType]
     ins: list[Optional[float]] = field(default_factory=list)
     discovery_order: list[int] = field(default_factory=list)
     processing_order: list[int] = field(default_factory=list)
     inspections: int = 0
+
+    @property
+    def node_type(self) -> list[NodeType]:
+        """Every node's role, read off its label: a broker keeps its own id
+        and a community node takes its seed broker's, so ``v`` is a broker
+        exactly when ``community[v] == v``."""
+        BROKER, COMMUNITY = NodeType.BROKER, NodeType.COMMUNITY
+        return [BROKER if c == v else COMMUNITY for v, c in enumerate(self.community)]
 
 
 def ins_score(g: Graph, v: int, covered: bytearray) -> float:
@@ -114,18 +120,7 @@ def run_traversal(g: Graph, cfg: RunConfig, trace: bool = False) -> TraversalRes
     cost nothing.
     """
     n = g.n
-    # Bound once: a class-attribute lookup of an enum member per node costs
-    # several times a local one.
-    UNCATEGORIZED, BROKER, COMMUNITY = (
-        NodeType.UNCATEGORIZED,
-        NodeType.BROKER,
-        NodeType.COMMUNITY,
-    )
-    result = TraversalResult(
-        community=list(range(n)),
-        node_type=[UNCATEGORIZED] * n,
-        ins=[None] * n if trace else [],
-    )
+    result = TraversalResult(community=list(range(n)), ins=[None] * n if trace else [])
     start = cfg.start
     if start is not None and not 0 <= start < n:
         raise ValueError(f"start node {start} out of range")
@@ -140,7 +135,6 @@ def run_traversal(g: Graph, cfg: RunConfig, trace: bool = False) -> TraversalRes
     inspections = 0
     adj = g.adj
     comm = result.community
-    ntype = result.node_type
     ins = result.ins
     discovery = result.discovery_order
     processing = result.processing_order
@@ -198,7 +192,6 @@ def run_traversal(g: Graph, cfg: RunConfig, trace: bool = False) -> TraversalRes
                 v = by_degree[cursor]
             covered[v] = 1
             cover_count += 1
-            ntype[v] = BROKER
             if trace:
                 ins[v] = 0.0
                 discovery.append(v)
@@ -217,11 +210,9 @@ def run_traversal(g: Graph, cfg: RunConfig, trace: bool = False) -> TraversalRes
         c = comm[v]
         for u in fresh:
             if joins(v, u):
-                ntype[u] = COMMUNITY
                 comm[u] = c
                 queue.append(u)
             else:
-                ntype[u] = BROKER
                 stack.append(u)
         if trace:
             discovery.extend(reversed(stack[brokers_before:]))

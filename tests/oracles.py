@@ -96,7 +96,7 @@ def conductance_args(g: Graph, members: set[int], target: int) -> tuple[int, int
     return k_t, k_ts, volume, 2 * g.m - volume - k_t, cut - k_ts
 
 
-def traversal(g: Graph, cfg: RunConfig) -> TraversalResult:
+def traversal(g: Graph, cfg: RunConfig) -> tuple[TraversalResult, list[NodeType]]:
     """Traced traversal with every score and decision computed from scratch.
 
     The rule of :func:`commspread.run_traversal`, evaluated directly: a
@@ -106,12 +106,13 @@ def traversal(g: Graph, cfg: RunConfig) -> TraversalResult:
     score 0; every fresh neighbour of a processed node is covered before
     any of them is classified.  An ins score counts covered neighbours
     anew, and a cond decision is :func:`lowers_conductance` of the current
-    cluster members.
+    cluster members.  Each node's role is recorded as it is decided and
+    returned next to the result.
     """
     n = g.n
     covered = [False] * n
     community = list(range(n))
-    node_type = [NodeType.UNCATEGORIZED] * n
+    node_type: list[NodeType | None] = [None] * n
     ins: list[float | None] = [None] * n
     members: dict[int, set[int]] = {}
     processing: list[int] = []
@@ -152,13 +153,10 @@ def traversal(g: Graph, cfg: RunConfig) -> TraversalResult:
             else:
                 node_type[u] = NodeType.BROKER
                 stack.append(u)
-    return TraversalResult(
-        community=community,
-        node_type=node_type,
-        ins=ins,
-        processing_order=processing,
-        inspections=inspections,
+    result = TraversalResult(
+        community=community, ins=ins, processing_order=processing, inspections=inspections
     )
+    return result, node_type
 
 
 def delta_modularity(g: Graph, partition: list[int], v: int, target: int) -> float:

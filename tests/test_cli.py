@@ -46,20 +46,20 @@ def test_detect_writes_cover_and_summary(capsys, tmp_path, walkthrough_path):
 
 
 def test_detect_skip_modmax_flag(capsys, tmp_path, walkthrough_path):
-    out = tmp_path / "cover.tsv"
-    code, stdout, _ = run_cli(
-        capsys,
-        "detect",
-        "--input", str(walkthrough_path),
-        "--method", "ins",
-        "--threshold", "0.66",
-        "--start", "N",
-        "--skip-modmax",
-        "--output", str(out),
-    )
-    assert code == 0
-    # Without maximization the unmerged seed clusters remain (more than 3).
-    assert int(stdout.split("\t")[2]) >= 3
+    # Allocation leaves four clusters, and maximization merges two of them.
+    for flags, k in ((["--skip-modmax"], "4"), ([], "3")):
+        code, stdout, _ = run_cli(
+            capsys,
+            "detect",
+            "--input", str(walkthrough_path),
+            "--method", "ins",
+            "--threshold", "0.66",
+            "--start", "N",
+            *flags,
+            "--output", str(tmp_path / "cover.tsv"),
+        )
+        assert code == 0
+        assert stdout.split("\t")[2] == k, flags
 
 
 def test_detect_missing_input_exits_2(capsys, tmp_path):
@@ -88,17 +88,24 @@ def test_detect_unknown_start_exits_2(capsys, tmp_path, walkthrough_path):
 
 
 def test_detect_malformed_input_exits_2(capsys, tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("a b c\n")
-    code, _, stderr = run_cli(
-        capsys,
-        "detect",
-        "--input", str(bad),
-        "--method", "ins",
-        "--output", str(tmp_path / "o.tsv"),
-    )
-    assert code == 2
-    assert "line 1" in stderr
+    # A label starting with "#" is malformed: the cover file would write it
+    # at the start of a line, where it reads as a comment.
+    for text, message in (
+        ("a b c\n", "line 1: expected 2 tokens"),
+        ("a #b\nb c\n", "line 1: a label may not start with '#'"),
+    ):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        code, stdout, stderr = run_cli(
+            capsys,
+            "detect",
+            "--input", str(bad),
+            "--method", "ins",
+            "--output", str(tmp_path / "o.tsv"),
+        )
+        assert code == 2
+        assert message in stderr
+        assert stdout == ""
 
 
 def test_detect_unwritable_output_exits_2(capsys, tmp_path, walkthrough_path):
@@ -376,6 +383,18 @@ def test_sweep_threshold_rejects_range_beyond_one(capsys, walkthrough_path):
     )
     assert code == 2
     assert "error: threshold must be in [0, 1]" in stderr
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("step", ["1e-20", "3e-17"])
+def test_sweep_threshold_rejects_step_that_cannot_advance(capsys, walkthrough_path, step):
+    # 0.4 + 1e-20 == 0.4.  3e-17 moves 0.4 but not 0.85 (0.85 + 3e-17 ==
+    # 0.85), so the sweep would stall inside the range.
+    code, stdout, stderr = run_cli(
+        capsys, "sweep-threshold", "--input", str(walkthrough_path), "--step", step
+    )
+    assert code == 2
+    assert "cannot advance the threshold" in stderr
     assert stdout == ""
 
 

@@ -55,14 +55,15 @@ def test_every_node_categorized_both_methods():
         for _ in range(15):
             g = random_graph(rng, rng.randrange(1, 20), rng.random())
             res = run_traversal(g, RunConfig(method=method, threshold=0.6), trace=True)
-            assert all(t != NodeType.UNCATEGORIZED for t in res.node_type)
+            # Every label is the id of a node that carries its own id.
+            assert all(res.community[c] == c for c in res.community)
             assert sorted(res.discovery_order) == list(range(g.n))
 
 
 def test_disconnected_graph_restarts_from_lowest_degree():
     g = graph("a b\nb c\na c\nx y\n")  # component {a,b,c} and edge {x,y}
     res = run_traversal(g, RunConfig(), trace=True)
-    assert all(t != NodeType.UNCATEGORIZED for t in res.node_type)
+    assert all(res.community[c] == c for c in res.community)
     # The second component's entry node is again a broker with score 0.
     starts = [v for v in (g.id_of("x"), g.id_of("y")) if res.ins[v] == 0.0]
     assert starts, "restart node must carry score 0"
