@@ -9,7 +9,8 @@ its own ``src/`` on ``PYTHONPATH``.  A run records the sha256 of the cover
 file written by every algorithm of ``tests/test_golden_covers.py`` (detect
 ins and cond, with and without modmax, ``louvain``, ``label_propagation``),
 of every ``TraversalResult`` field and its derived ``node_type`` of a
-traced run under ins and cond, and of the ``cover_stats`` of a seeded
+traced run under ins and cond, from the default start and from the last
+node (``start=g.n - 1``), and of the ``cover_stats`` of a seeded
 random partition, and the modularity of every cover next to its digest.
 It also digests every graph it builds (adjacency, weights, self-loops,
 labels and load report) and the
@@ -186,11 +187,16 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
             text = io.StringIO()
             write_cover_file(g, cover, text)
             out[f"{name}/{alg}"] = (sha(text.getvalue()), modularity(g, cover))
+        # Traversals from the default start and from the last node, which
+        # must come before the lowest-degree restarts.
+        starts = {"": None, "-last": g.n - 1} if g.n else {"": None}
         for method in ("ins", "cond"):
-            result = run_traversal(g, RunConfig(method=method, threshold=0.75), **traced)
-            for field in TRAVERSAL_FIELDS:
-                value = getattr(result, field)
-                out[f"{name}/traversal-{method}/{field}"] = (sha(json.dumps(value)), None)
+            for suffix, start in starts.items():
+                cfg = RunConfig(method=method, threshold=0.75, start=start)
+                result = run_traversal(g, cfg, **traced)
+                for field in TRAVERSAL_FIELDS:
+                    text = json.dumps(getattr(result, field))
+                    out[f"{name}/traversal-{method}{suffix}/{field}"] = (sha(text), None)
         rng = random.Random(name)
         k = rng.randrange(1, g.n + 1) if g.n else 1
         stats = cover_stats(g, Cover([rng.randrange(k) for _ in range(g.n)]))

@@ -196,9 +196,12 @@ def cmd_sweep_threshold(args) -> int:
     print("r,Q,k")
     r = args.start_r
     while r <= end:
-        result = detect(g, _run_config(method="ins", threshold=min(round(r, 10), args.stop)))
+        threshold = min(round(r, 10), args.stop)
+        result = detect(g, _run_config(method="ins", threshold=threshold))
         q = modularity(g, result.cover)
-        print(f"{r:.2f},{q:.6f},{result.cover.k}")
+        # Two decimals where they are exact, else every digit the run used.
+        label = f"{threshold:.2f}" if round(threshold, 2) == threshold else str(threshold)
+        print(f"{label},{q:.6f},{result.cover.k}")
         r += args.step
     return 0
 

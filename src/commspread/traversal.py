@@ -70,14 +70,6 @@ class TraversalResult:
         return [BROKER if c == v else COMMUNITY for v, c in enumerate(self.community)]
 
 
-def ins_score(g: Graph, v: int, covered: bytearray) -> float:
-    """Fraction of ``v``'s neighbors already covered (0 for isolated nodes)."""
-    d = g.degree(v)
-    if d == 0:
-        return 0.0
-    return sum(map(covered.__getitem__, g.adj[v])) / d
-
-
 def classify_by_conductance(
     k_t: int, k_ts: int, k_s: int, k_o: int, alpha: int
 ) -> bool:
@@ -93,31 +85,28 @@ def classify_by_conductance(
     ``k_ts <= k_t``, ``k_o >= 0`` (the target lies outside the cluster) and
     ``alpha >= 0`` (the cut includes the target's ``k_ts`` edges).
     """
-    # Degenerate volumes: conductance is defined as 0 when the smaller side
-    # has volume 0, so it can only strictly decrease when the old value was
-    # positive and the new one hits a zero-volume complement.
-    if k_s == 0 or k_t + k_o == 0:
+    # Conductance is the cut over the smaller side's volume, and 0 when that
+    # volume is 0.  Both ratios are compared by one cross-multiplication.
+    cut = alpha + k_ts
+    before = k_s if k_s < k_t + k_o else k_t + k_o
+    after = k_s + k_t if k_s + k_t < k_o else k_o
+    if before == 0:
         return False
-    if k_o == 0:
-        return alpha + k_ts > 0
-
-    if k_s >= k_t + k_o:
-        return k_ts * (2 * k_o + k_t) > k_t * (alpha + k_t + k_o)
-    if k_s + k_t < k_o:
-        return k_ts * (2 * k_s + k_t) > k_t * (k_s - alpha)
-    return k_ts * (k_s + k_o) > k_s * k_t + alpha * (k_s - k_o)
+    if after == 0:
+        return cut > 0
+    return (cut + k_t - 2 * k_ts) * before < cut * after
 
 
 def run_traversal(g: Graph, cfg: RunConfig, trace: bool = False) -> TraversalResult:
     """Classify every node as broker or community node in one linear pass.
 
-    The starting node (and each restart node on disconnected graphs) is the
-    lowest-degree uncovered node and is always a broker with score 0.  With
-    ``trace`` set the result also records the processing order, every ins
-    score, and the discovery order, which lists, per processing step, the
-    new brokers in the order they will be popped followed by the new
-    community nodes in queue order.  Without it those fields stay empty and
-    cost nothing.
+    The starting node (and each restart node on disconnected graphs) is
+    ``cfg.start`` while it is uncovered, else the lowest-degree uncovered
+    node, and is always a broker with score 0.  With ``trace`` set the
+    result also records the processing order, every ins score, and the
+    discovery order, which lists, per processing step, the new brokers in
+    the order they will be popped followed by the new community nodes in
+    queue order.  Without it those fields stay empty and cost nothing.
     """
     n = g.n
     result = TraversalResult(community=list(range(n)), ins=[None] * n if trace else [])
@@ -167,15 +156,19 @@ def run_traversal(g: Graph, cfg: RunConfig, trace: bool = False) -> TraversalRes
         r = cfg.threshold
 
         def joins(v: int, u: int) -> bool:
-            score = ins_score(g, u, covered)
+            # u is a fresh neighbour of v, so its degree is at least 1.
+            score = sum(map(is_covered, adj[u])) / degree[u]
             if trace:
                 ins[u] = score
             return score >= r
 
-    # Restart nodes come from a degree-sorted list walked by a monotone
-    # cursor, so selecting all of them costs O(n) total even on graphs with
-    # many components.  The sort is stable, so ties keep ascending ids.
-    by_degree = sorted(range(n), key=degree.__getitem__)
+    # Restart nodes come from one list walked by a monotone cursor, so
+    # selecting all of them costs O(n) total even on graphs with many
+    # components: cfg.start first, then every node by degree.  The sort is
+    # stable, so ties keep ascending ids.
+    order = sorted(range(n), key=degree.__getitem__)
+    if start is not None:
+        order.insert(0, start)
     cursor = 0
 
     while cover_count < n:
@@ -184,12 +177,9 @@ def run_traversal(g: Graph, cfg: RunConfig, trace: bool = False) -> TraversalRes
         elif stack:
             v = stack.pop()
         else:
-            if start is not None and not covered[start]:
-                v = start
-            else:
-                while covered[by_degree[cursor]]:
-                    cursor += 1
-                v = by_degree[cursor]
+            while covered[order[cursor]]:
+                cursor += 1
+            v = order[cursor]
             covered[v] = 1
             cover_count += 1
             if trace:
@@ -204,9 +194,6 @@ def run_traversal(g: Graph, cfg: RunConfig, trace: bool = False) -> TraversalRes
         for u in fresh:
             covered[u] = 1
         cover_count += len(fresh)
-        if trace:
-            processing.append(v)
-            brokers_before, comms_before = len(stack), len(queue)
         c = comm[v]
         for u in fresh:
             if joins(v, u):
@@ -215,7 +202,9 @@ def run_traversal(g: Graph, cfg: RunConfig, trace: bool = False) -> TraversalRes
             else:
                 stack.append(u)
         if trace:
-            discovery.extend(reversed(stack[brokers_before:]))
-            discovery.extend(queue[i] for i in range(comms_before, len(queue)))
+            # A fresh node keeps its own id exactly when it became a broker.
+            processing.append(v)
+            discovery.extend([u for u in reversed(fresh) if comm[u] == u])
+            discovery.extend([u for u in fresh if comm[u] != u])
     result.inspections = inspections
     return result

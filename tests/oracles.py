@@ -107,7 +107,9 @@ def traversal(g: Graph, cfg: RunConfig) -> tuple[TraversalResult, list[NodeType]
     any of them is classified.  An ins score counts covered neighbours
     anew, and a cond decision is :func:`lowers_conductance` of the current
     cluster members.  Each node's role is recorded as it is decided and
-    returned next to the result.
+    returned next to the result.  The discovery order lists each restart
+    node, and per step the new brokers in the order they will be popped
+    (reversed) followed by the new community nodes.
     """
     n = g.n
     covered = [False] * n
@@ -116,6 +118,7 @@ def traversal(g: Graph, cfg: RunConfig) -> tuple[TraversalResult, list[NodeType]
     ins: list[float | None] = [None] * n
     members: dict[int, set[int]] = {}
     processing: list[int] = []
+    discovery: list[int] = []
     inspections = 0
     stack: list[int] = []
     queue: deque[int] = deque()
@@ -132,6 +135,7 @@ def traversal(g: Graph, cfg: RunConfig) -> tuple[TraversalResult, list[NodeType]
             covered[v] = True
             node_type[v] = NodeType.BROKER
             ins[v] = 0.0
+            discovery.append(v)
         processing.append(v)
         inspections += 1 + g.degree(v)
         fresh = [u for u in g.adj[v] if not covered[u]]
@@ -139,6 +143,7 @@ def traversal(g: Graph, cfg: RunConfig) -> tuple[TraversalResult, list[NodeType]
             covered[u] = True
         seed = community[v]
         cluster = members.setdefault(seed, {seed})
+        new_brokers, new_members = [], []
         for u in fresh:
             if cfg.method == "ins":
                 ins[u] = sum(covered[w] for w in g.adj[u]) / g.degree(u)
@@ -150,11 +155,18 @@ def traversal(g: Graph, cfg: RunConfig) -> tuple[TraversalResult, list[NodeType]
                 community[u] = seed
                 cluster.add(u)
                 queue.append(u)
+                new_members.append(u)
             else:
                 node_type[u] = NodeType.BROKER
                 stack.append(u)
+                new_brokers.append(u)
+        discovery += new_brokers[::-1] + new_members
     result = TraversalResult(
-        community=community, ins=ins, processing_order=processing, inspections=inspections
+        community=community,
+        ins=ins,
+        discovery_order=discovery,
+        processing_order=processing,
+        inspections=inspections,
     )
     return result, node_type
 

@@ -350,6 +350,21 @@ def test_sweep_threshold_csv(capsys, walkthrough_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["0.50", "0.60", "0.70"]
 
 
+def test_sweep_threshold_labels_each_row_with_the_threshold_run(capsys, walkthrough_path):
+    # A step below 0.01 must not print distinct thresholds under one label.
+    code, stdout, _ = run_cli(
+        capsys,
+        "sweep-threshold",
+        "--input", str(walkthrough_path),
+        "--from", "0.7",
+        "--to", "0.71",
+        "--step", "0.002",
+    )
+    assert code == 0
+    rs = [line.split(",")[0] for line in stdout.strip().splitlines()[1:]]
+    assert rs == ["0.70", "0.702", "0.704", "0.706", "0.708", "0.71"]
+
+
 def test_sweep_threshold_rejects_empty_range(capsys, walkthrough_path):
     code, _, _ = run_cli(
         capsys,

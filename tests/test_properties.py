@@ -184,7 +184,7 @@ def test_contraction_preserves_modularity(g, data):
 
 
 @settings(deadline=None)
-@given(GRAPHS, st.data())
+@given(st.one_of(GRAPHS, mid_random_graphs()), st.data())
 def test_contraction_equals_dict_and_sort_oracle(g, data):
     # Fractional weights make every float sum depend on its order.  Each
     # level is contracted from a cover with unassigned nodes and from one
@@ -234,7 +234,11 @@ def test_sample_edges_equals_dict_and_sort_oracle(g, data, fraction, seed):
 
 
 @settings(deadline=None)
-@given(GRAPHS, st.sampled_from(["ins", "cond"]), st.sampled_from([0.5, 0.7, 1.0]))
+@given(
+    st.one_of(GRAPHS, mid_random_graphs()),
+    st.sampled_from(["ins", "cond"]),
+    st.sampled_from([0.5, 0.7, 1.0]),
+)
 def test_untraced_traversal_equals_traced(g, method, threshold):
     cfg = RunConfig(method=method, threshold=threshold)
     plain, traced = run_traversal(g, cfg), run_traversal(g, cfg, trace=True)
@@ -255,14 +259,14 @@ def test_traversal_equals_brute_force_oracle(g, method, threshold, data):
     cfg = RunConfig(method=method, threshold=threshold, start=start)
     got = run_traversal(g, cfg, trace=True)
     expected, roles = oracles.traversal(g, cfg)
-    for field in ("community", "processing_order", "ins", "inspections"):
+    for field in ("community", "discovery_order", "processing_order", "ins", "inspections"):
         assert getattr(got, field) == getattr(expected, field), field
     # The roles read off the labels are the ones the oracle decided.
     assert got.node_type == roles
 
 
 @settings(deadline=None)
-@given(GRAPHS, st.data())
+@given(st.one_of(GRAPHS, mid_random_graphs()), st.data())
 def test_refine_cover_never_lowers_modularity(g, data):
     cover = data.draw(covers(g, unassigned=True))
     before = modularity(g, cover.with_singletons())

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from commspread import Graph, RunConfig, detect, run_traversal
-from commspread.traversal import NodeType, ins_score
+from commspread.traversal import NodeType
 
 from conftest import graph, random_graph
 
@@ -15,15 +15,6 @@ def test_config_validation():
         RunConfig(method="bogus")
     with pytest.raises(ValueError):
         RunConfig(threshold=1.5)
-
-
-def test_ins_score_fraction_of_covered_neighbors():
-    g = graph("a b\na c\na d\nd e\n")
-    covered = bytearray(g.n)
-    covered[g.id_of("b")] = 1
-    assert ins_score(g, g.id_of("a"), covered) == pytest.approx(1 / 3)
-    isolated = Graph.from_edges([], extra_nodes=["x"])
-    assert ins_score(isolated, 0, bytearray(1)) == 0.0
 
 
 def test_start_defaults_to_lowest_degree_node():
