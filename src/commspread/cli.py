@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import math
 import os
+import random
 import statistics
 import sys
 import time
@@ -54,15 +55,13 @@ def _parse_utf8(path: str, parse):
             return parse(_utf8_lines(fh))
 
 
-def _load_graph(path: str) -> tuple[Graph, float]:
-    start = time.perf_counter()
+def _load_graph(path: str) -> Graph:
     try:
-        g = _parse_utf8(path, load_edge_list)
+        return _parse_utf8(path, load_edge_list)
     except OSError as exc:
         raise CliError(f"cannot read input {path}: {exc}") from exc
     except GraphParseError as exc:
         raise CliError(f"cannot parse {path}: {exc}") from exc
-    return g, (time.perf_counter() - start) * 1000.0
 
 
 def _resolve_start(g: Graph, value: str) -> int | None:
@@ -81,18 +80,16 @@ def _run_config(**fields) -> RunConfig:
         raise CliError(str(exc)) from exc
 
 
-def _config(args, start: int | None) -> RunConfig:
-    return _run_config(
+def cmd_detect(args) -> int:
+    t0 = time.perf_counter()
+    g = _load_graph(args.input)
+    parse_ms = (time.perf_counter() - t0) * 1000.0
+    cfg = _run_config(
         method=args.method,
         threshold=args.threshold,
-        start=start,
-        run_modmax=not getattr(args, "skip_modmax", False),
+        start=_resolve_start(g, args.start),
+        run_modmax=not args.skip_modmax,
     )
-
-
-def cmd_detect(args) -> int:
-    g, parse_ms = _load_graph(args.input)
-    cfg = _config(args, _resolve_start(g, args.start))
     t0 = time.perf_counter()
     result = detect(g, cfg)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -108,7 +105,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    g, _ = _load_graph(args.input)
+    g = _load_graph(args.input)
     try:
         cover = _parse_utf8(args.cover, functools.partial(read_cover_file, g))
     except OSError as exc:
@@ -137,19 +134,20 @@ def _linear_fit(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
 
 
 def cmd_bench(args) -> int:
-    cfg = _config(args, None)
-    g, _ = _load_graph(args.input)
+    cfg = _run_config(method=args.method, threshold=args.threshold)
+    g = _load_graph(args.input)
     try:
         fractions = [float(tok) for tok in args.fractions.split(",") if tok]
     except ValueError as exc:
         raise CliError(f"bad fraction list {args.fractions!r}") from exc
-    if not fractions or any(not 0.0 < f <= 1.0 for f in fractions):
-        raise CliError("fractions must lie in (0, 1]")
     if len(set(fractions)) < 2:
         raise CliError("need at least two distinct fractions for a linearity fit")
     if args.repeats < 1:
         raise CliError("repeats must be >= 1")
-    samples = [g if f == 1.0 else g.sample_edges(f, args.seed) for f in fractions]
+    try:
+        samples = [g if f == 1.0 else g.sample_edges(f, args.seed) for f in fractions]
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     if len({sample.m for sample in samples}) < 2:
         raise CliError("fewer than two distinct edge counts for a linearity fit")
 
@@ -162,18 +160,16 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             if args.phase == "traversal":
                 run_traversal(sample, cfg)
-                q, k = float("nan"), 0
+                q_text, k = "", 0
             else:
                 result = detect(sample, cfg)
-                q, k = modularity(sample, result.cover), result.cover.k
+                q_text, k = f"{modularity(sample, result.cover):.6f}", result.cover.k
             ms = (time.perf_counter() - t0) * 1000.0
             times.append(ms)
-            q_text = "" if math.isnan(q) else f"{q:.6f}"
             print(
                 f"{dataset},{fraction},{args.method},{args.phase},{run},{ms:.3f},{q_text},{k}"
             )
-        times.sort()
-        medians.append((sample.m, times[len(times) // 2]))
+        medians.append((sample.m, statistics.median_high(times)))
     xs = [float(m) for m, _ in medians]
     ys = [t for _, t in medians]
     slope, intercept, r2 = _linear_fit(xs, ys)
@@ -184,35 +180,34 @@ def cmd_bench(args) -> int:
 def cmd_sweep_threshold(args) -> int:
     if not (args.step > 0 and args.start_r <= args.stop):
         raise CliError("need step > 0 and a non-empty threshold range")
-    # Thresholds rise from the first to at most --to, so checking both ends
-    # checks all.  r + step > r for every r up to end once step exceeds half
-    # an ulp of end; a smaller step (0.4 + 1e-20 == 0.4) never ends the sweep.
+    # Row i runs round(from + i*step, 10) capped at --to, so thresholds rise
+    # from the first to at most --to and checking both ends checks all.  A
+    # step below 1e-10 would run some rounded threshold twice.  The 1e-9
+    # absorbs the float error of the division when the step divides the range.
     _run_config(threshold=round(args.start_r, 10))
     _run_config(threshold=args.stop)
-    end = args.stop + 1e-9  # slack for the float error the steps accumulate
-    if not args.step > math.ulp(end) / 2:
+    if args.step < 1e-10:
         raise CliError(f"step {args.step:g} cannot advance the threshold up to {args.stop:g}")
-    g, _ = _load_graph(args.input)
+    rows = math.floor((args.stop - args.start_r) / args.step + 1e-9) + 1
+    g = _load_graph(args.input)
     print("r,Q,k")
-    r = args.start_r
-    while r <= end:
-        threshold = min(round(r, 10), args.stop)
+    for i in range(rows):
+        threshold = min(round(args.start_r + i * args.step, 10), args.stop)
         result = detect(g, _run_config(method="ins", threshold=threshold))
         q = modularity(g, result.cover)
         # Two decimals where they are exact, else every digit the run used.
         label = f"{threshold:.2f}" if round(threshold, 2) == threshold else str(threshold)
         print(f"{label},{q:.6f},{result.cover.k}")
-        r += args.step
     return 0
 
 
 def cmd_sweep_start(args) -> int:
     cfg = _run_config(method="ins", threshold=args.threshold)
-    g, _ = _load_graph(args.input)
+    g = _load_graph(args.input)
     if g.n == 0:
         raise CliError("cannot sweep start nodes of an empty graph")
     if args.sample == "all":
-        starts = list(range(g.n))
+        count = g.n
     else:
         try:
             count = int(args.sample)
@@ -220,12 +215,8 @@ def cmd_sweep_start(args) -> int:
             raise CliError(f"--sample must be 'all' or an integer, got {args.sample!r}") from None
         if count < 1:
             raise CliError("--sample must be >= 1")
-        if count >= g.n:
-            starts = list(range(g.n))
-        else:
-            import random
-
-            starts = sorted(random.Random(args.seed).sample(range(g.n), count))
+    # A sorted sample of every node is every node in id order.
+    starts = sorted(random.Random(args.seed).sample(range(g.n), min(count, g.n)))
     print("start,degree,Q,k")
     qs = []
     for v in starts:
@@ -233,8 +224,8 @@ def cmd_sweep_start(args) -> int:
         q = modularity(g, result.cover)
         qs.append(q)
         print(f"{g.label_of(v)},{g.degree(v)},{q:.6f},{result.cover.k}")
-    mean = sum(qs) / len(qs)
-    stddev = math.sqrt(sum((q - mean) ** 2 for q in qs) / len(qs))
+    mean = statistics.fmean(qs)
+    stddev = statistics.pstdev(qs)
     rsd = stddev / mean if mean else float("inf")
     print(f"mean_Q={mean:.4f} stddev={stddev:.4f} rsd={rsd:.4f}", file=sys.stderr)
     return 0

@@ -214,14 +214,18 @@ def test_eval_reports_cover_quality(capsys, tmp_path, walkthrough_path):
         "--start", "N",
         "--output", str(out),
     )
-    code, stdout, _ = run_cli(
-        capsys, "eval", "--input", str(walkthrough_path), "--cover", str(out)
-    )
-    assert code == 0
-    lines = dict(line.split("\t", 1) for line in stdout.strip().splitlines())
-    assert float(lines["Q"]) == pytest.approx(0.505, abs=0.005)
-    assert lines["k"] == "3"
-    assert "sizes" in lines and "conductance" in lines
+    # Comment and blank lines in a cover file are skipped.
+    cover = out.read_text()
+    for prefix in ("", "# walkthrough cover\n\n"):
+        out.write_text(prefix + cover)
+        code, stdout, _ = run_cli(
+            capsys, "eval", "--input", str(walkthrough_path), "--cover", str(out)
+        )
+        assert code == 0
+        lines = dict(line.split("\t", 1) for line in stdout.strip().splitlines())
+        assert lines["Q"] == "0.505"
+        assert lines["k"] == "3"
+        assert "sizes" in lines and "conductance" in lines
 
 
 def test_eval_rejects_incomplete_cover(capsys, tmp_path, walkthrough_path):
@@ -320,10 +324,34 @@ def test_bench_rejects_fractions_with_one_edge_count(capsys, walkthrough_path):
 
 
 def test_bench_rejects_bad_fraction(capsys, walkthrough_path):
-    code, _, _ = run_cli(
+    code, stdout, stderr = run_cli(
         capsys, "bench", "--input", str(walkthrough_path), "--fractions", "0.5,1.5"
     )
     assert code == 2
+    assert "(0, 1]" in stderr
+    assert stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["eval", "--input", "g.txt", "--cover", "missing.tsv"], "cannot read cover missing.tsv"),
+        (["bench", "--input", "g.txt", "--fractions", "0.5,x"], "bad fraction list '0.5,x'"),
+        (["bench", "--input", "g.txt", "--repeats", "0"], "repeats must be >= 1"),
+        (["sweep-start", "--input", "empty.txt"], "cannot sweep start nodes of an empty graph"),
+        (["sweep-start", "--input", "g.txt", "--sample", "0"], "--sample must be >= 1"),
+    ],
+    ids=["eval-unreadable-cover", "bench-bad-fraction-token", "bench-zero-repeats",
+         "sweep-start-empty-graph", "sweep-start-zero-sample"],
+)
+def test_usage_error_exits_2(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(DATA_DIR / "walkthrough13.txt", tmp_path / "g.txt")
+    (tmp_path / "empty.txt").write_text("")
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert message in stderr
+    assert stdout == ""
 
 
 def test_bench_rejects_out_of_range_threshold(capsys, walkthrough_path):
@@ -365,6 +393,22 @@ def test_sweep_threshold_labels_each_row_with_the_threshold_run(capsys, walkthro
     assert rs == ["0.70", "0.702", "0.704", "0.706", "0.708", "0.71"]
 
 
+def test_sweep_threshold_runs_each_threshold_once(capsys, walkthrough_path):
+    # Row i runs round(from + i*step, 10) capped at --to; no end slack may
+    # add rows that repeat --to.
+    code, stdout, _ = run_cli(
+        capsys,
+        "sweep-threshold",
+        "--input", str(walkthrough_path),
+        "--from", "0.7",
+        "--to", "0.7000000003",
+        "--step", "1e-10",
+    )
+    assert code == 0
+    rs = [line.split(",")[0] for line in stdout.strip().splitlines()[1:]]
+    assert rs == ["0.70", "0.7000000001", "0.7000000002", "0.7000000003"]
+
+
 def test_sweep_threshold_rejects_empty_range(capsys, walkthrough_path):
     code, _, _ = run_cli(
         capsys,
@@ -401,12 +445,16 @@ def test_sweep_threshold_rejects_range_beyond_one(capsys, walkthrough_path):
     assert stdout == ""
 
 
-@pytest.mark.parametrize("step", ["1e-20", "3e-17"])
-def test_sweep_threshold_rejects_step_that_cannot_advance(capsys, walkthrough_path, step):
-    # 0.4 + 1e-20 == 0.4.  3e-17 moves 0.4 but not 0.85 (0.85 + 3e-17 ==
-    # 0.85), so the sweep would stall inside the range.
+@pytest.mark.parametrize(
+    "step,bounds",
+    [("1e-20", []), ("3e-17", []), ("1e-11", ["--from", "0.7", "--to", "0.7000000003"])],
+    ids=["1e-20", "3e-17", "1e-11"],
+)
+def test_sweep_threshold_rejects_step_that_cannot_advance(capsys, walkthrough_path, step, bounds):
+    # 0.4 + 1e-20 == 0.4, and 0.85 + 3e-17 == 0.85.  Thresholds are rounded
+    # to 10 decimals, so a step below 1e-10 would run some of them twice.
     code, stdout, stderr = run_cli(
-        capsys, "sweep-threshold", "--input", str(walkthrough_path), "--step", step
+        capsys, "sweep-threshold", "--input", str(walkthrough_path), "--step", step, *bounds
     )
     assert code == 2
     assert "cannot advance the threshold" in stderr
@@ -444,6 +492,15 @@ def test_sweep_start_sampled_deterministic(capsys, walkthrough_path):
     )
     assert out1 == out2
     assert len(out1.strip().splitlines()) == 6
+
+
+def test_sweep_start_sample_of_at_least_n_runs_every_node(capsys, walkthrough_path):
+    outputs = [
+        run_cli(capsys, "sweep-start", "--input", str(walkthrough_path), "--sample", sample)
+        for sample in ("all", "13", "100")
+    ]
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_sweep_start_rejects_bad_sample(capsys, walkthrough_path):

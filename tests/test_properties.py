@@ -72,6 +72,7 @@ FAMILY_GRAPHS = st.builds(
     lambda kind, n: FAMILIES[kind](n), st.sampled_from(sorted(FAMILIES)), st.integers(1, 8)
 )
 GRAPHS = st.one_of(FAMILY_GRAPHS, random_graphs())
+MIXED_GRAPHS = st.one_of(GRAPHS, mid_random_graphs())
 
 ALGORITHMS = {
     "ins": lambda g: detect(g, RunConfig(method="ins", threshold=0.7)).cover,
@@ -88,7 +89,7 @@ def covers(g: Graph, unassigned: bool = False):
 
 
 @settings(deadline=None)
-@given(GRAPHS, st.sampled_from(sorted(ALGORITHMS)))
+@given(MIXED_GRAPHS, st.sampled_from(sorted(ALGORITHMS)))
 def test_cover_is_dense_partition_with_bounded_modularity(g, name):
     cover = ALGORITHMS[name](g)
     assert len(cover.assignment) == g.n
@@ -98,14 +99,14 @@ def test_cover_is_dense_partition_with_bounded_modularity(g, name):
 
 
 @settings(deadline=None)
-@given(GRAPHS, st.sampled_from(["ins", "cond"]), st.sampled_from([True, False]))
+@given(MIXED_GRAPHS, st.sampled_from(["ins", "cond"]), st.sampled_from([True, False]))
 def test_detect_is_deterministic(g, method, run_modmax):
     cfg = RunConfig(method=method, threshold=0.7, run_modmax=run_modmax)
     assert detect(g, cfg).cover == detect(g, cfg).cover
 
 
 @settings(deadline=None)
-@given(GRAPHS, st.data())
+@given(MIXED_GRAPHS, st.data())
 def test_local_moves_converge_to_no_improving_move(g, data):
     # Contracting a random cover first gives weighted graphs with self-loops.
     for level in (g, reduce_graph(g, data.draw(covers(g))).graph):
@@ -116,7 +117,7 @@ def test_local_moves_converge_to_no_improving_move(g, data):
 
 
 @settings(deadline=None)
-@given(GRAPHS, st.data())
+@given(MIXED_GRAPHS, st.data())
 def test_local_moves_is_idempotent(g, data):
     for level in (g, reduce_graph(g, data.draw(covers(g))).graph):
         partition = _local_moves(level, data.draw(covers(level)).assignment)
@@ -124,7 +125,7 @@ def test_local_moves_is_idempotent(g, data):
 
 
 @settings(deadline=None)
-@given(GRAPHS, st.data())
+@given(MIXED_GRAPHS, st.data())
 def test_local_moves_never_lower_modularity(g, data):
     for level in (g, reduce_graph(g, data.draw(covers(g))).graph):
         initial = data.draw(covers(level))
@@ -138,7 +139,7 @@ def wide_covers(g: Graph):
 
 
 @settings(deadline=None)
-@given(GRAPHS, st.data())
+@given(MIXED_GRAPHS, st.data())
 def test_refine_cover_depends_only_on_label_order(g, data):
     # Labels spread above n, within the bound refine_cover documents,
     # refine like the labels 0..3 they stand for.
@@ -163,7 +164,7 @@ def test_local_moves_equal_the_full_pass_oracle(g, data):
 
 @settings(deadline=None)
 @given(
-    st.one_of(GRAPHS, mid_random_graphs()),
+    MIXED_GRAPHS,
     st.sampled_from(["ins", "cond"]),
     st.sampled_from([0.5, 0.7, 1.0]),
 )
@@ -175,7 +176,7 @@ def test_allocation_equals_brute_force_oracle(g, method, threshold):
 
 
 @settings(deadline=None)
-@given(GRAPHS, st.data())
+@given(MIXED_GRAPHS, st.data())
 def test_contraction_preserves_modularity(g, data):
     cover = data.draw(covers(g, unassigned=True))
     reduced = reduce_graph(g, cover).graph
@@ -184,7 +185,7 @@ def test_contraction_preserves_modularity(g, data):
 
 
 @settings(deadline=None)
-@given(st.one_of(GRAPHS, mid_random_graphs()), st.data())
+@given(MIXED_GRAPHS, st.data())
 def test_contraction_equals_dict_and_sort_oracle(g, data):
     # Fractional weights make every float sum depend on its order.  Each
     # level is contracted from a cover with unassigned nodes and from one
@@ -205,7 +206,7 @@ def test_contraction_equals_dict_and_sort_oracle(g, data):
 
 @settings(deadline=None)
 @given(
-    st.one_of(GRAPHS, mid_random_graphs()),
+    MIXED_GRAPHS,
     st.data(),
     st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0]),
     st.integers(0, 2**32),
@@ -235,7 +236,7 @@ def test_sample_edges_equals_dict_and_sort_oracle(g, data, fraction, seed):
 
 @settings(deadline=None)
 @given(
-    st.one_of(GRAPHS, mid_random_graphs()),
+    MIXED_GRAPHS,
     st.sampled_from(["ins", "cond"]),
     st.sampled_from([0.5, 0.7, 1.0]),
 )
@@ -249,7 +250,7 @@ def test_untraced_traversal_equals_traced(g, method, threshold):
 
 @settings(deadline=None, max_examples=300)
 @given(
-    st.one_of(GRAPHS, mid_random_graphs()),
+    MIXED_GRAPHS,
     st.sampled_from(["ins", "cond"]),
     st.sampled_from([0.5, 0.7, 1.0]),
     st.data(),
@@ -266,7 +267,7 @@ def test_traversal_equals_brute_force_oracle(g, method, threshold, data):
 
 
 @settings(deadline=None)
-@given(st.one_of(GRAPHS, mid_random_graphs()), st.data())
+@given(MIXED_GRAPHS, st.data())
 def test_refine_cover_never_lowers_modularity(g, data):
     cover = data.draw(covers(g, unassigned=True))
     before = modularity(g, cover.with_singletons())
