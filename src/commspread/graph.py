@@ -2,8 +2,10 @@
 
 Every graph, input or contracted, has one layout: sorted adjacency lists,
 parallel edge weights and a per-node self-loop weight.  Input graphs are
-simple, so they carry unit weights and zero self-loops; the reduced graphs
-produced by :mod:`commspread.refine` carry contracted weights.
+simple, so they carry unit weights and zero self-loops, and all nodes of
+one degree share a single unit-weight row; the reduced graphs produced by
+:mod:`commspread.refine` carry contracted weights.  Nothing mutates a
+graph's lists once it is built.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ class Graph:
     """Undirected weighted graph in compressed adjacency form.
 
     ``adj[v]`` is the sorted list of internal neighbor ids of ``v`` (never
-    ``v`` itself) and ``weights[v]`` is parallel to it.  ``self_loops[v]`` is
+    ``v`` itself) and ``weights[v]`` is parallel to it.  Rows may be shared:
+    on an input graph, every node of degree ``d`` holds the same
+    ``[1.0] * d`` list, so no code may mutate a row.  ``self_loops[v]`` is
     the self-loop weight of ``v``.  ``labels`` maps dense internal ids back
     to the external string labels and ``index`` maps them forward; both are
     empty on contracted graphs, whose nodes are known only by id.
@@ -94,7 +98,8 @@ class Graph:
         counted in the load report.  Internal ids follow first appearance.
         Each edge is appended to both endpoints' lists as it is read; the
         lists are then sorted and deduplicated, and a repeated edge shrinks
-        each of its two endpoints' lists by one.
+        each of its two endpoints' lists by one.  Nodes of equal degree share
+        one unit-weight row, so the rows hold at most 2m entries in all.
         """
         index: dict[str, int] = {}
         adj: list[list[int]] = []
@@ -119,11 +124,13 @@ class Graph:
                 adj.append([])
 
         shrinkage = 0
-        weights: list[list[float]] = []
+        degrees: list[int] = []
         for u, nbrs in enumerate(adj):
             unique = adj[u] = sorted(set(nbrs))
             shrinkage += len(nbrs) - len(unique)
-            weights.append([1.0] * len(unique))
+            degrees.append(len(unique))
+        rows = {d: [1.0] * d for d in set(degrees)}
+        weights = list(map(rows.__getitem__, degrees))
         report = LoadReport(duplicate_edges=shrinkage // 2, self_loops=self_loops)
         return cls(
             adj=adj,

@@ -6,7 +6,7 @@ import pytest
 
 from commspread import Graph, GraphParseError
 
-from conftest import graph, random_graph
+from conftest import graph, load_dataset, random_graph
 from oracles import edges, weighted_graph
 
 
@@ -17,6 +17,14 @@ def test_basic_parse():
     assert g.adj == [[1], [0, 2], [1]]
     assert g.weights == [[1.0], [1.0, 1.0], [1.0]]
     assert g.self_loops == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("name", ["karate", "lesmis", "walkthrough13"])
+def test_nodes_of_equal_degree_share_one_unit_row(name):
+    g = load_dataset(name)
+    assert len({id(w) for w in g.weights}) == len(set(map(len, g.adj)))
+    for v, row in enumerate(g.weights):
+        assert row == [1.0] * len(g.adj[v])
 
 
 def test_comments_and_blank_lines_ignored():

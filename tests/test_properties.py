@@ -1,5 +1,6 @@
 """Property tests over edge-case graph families and small random graphs."""
 
+import copy
 import random
 
 import pytest
@@ -82,6 +83,17 @@ ALGORITHMS = {
 }
 
 
+def fractional_copy(g: Graph, data) -> Graph:
+    """``g`` with a drawn weight in [0.01, 1] on every edge and every self-loop.
+
+    Fractional weights make every float sum depend on its order.
+    """
+    weight = st.floats(0.01, 1.0)
+    return oracles.weighted_graph(
+        {e: data.draw(weight) for e in oracles.edges(g)}, [data.draw(weight) for _ in range(g.n)]
+    )
+
+
 def covers(g: Graph, unassigned: bool = False):
     """Random covers of ``g`` with up to four labels, optionally with -1."""
     low = UNASSIGNED if unassigned else 0
@@ -99,17 +111,33 @@ def test_cover_is_dense_partition_with_bounded_modularity(g, name):
 
 
 @settings(deadline=None)
-@given(MIXED_GRAPHS, st.sampled_from(["ins", "cond"]), st.sampled_from([True, False]))
-def test_detect_is_deterministic(g, method, run_modmax):
+@given(
+    MIXED_GRAPHS,
+    st.sampled_from(["ins", "cond"]),
+    st.sampled_from([True, False]),
+    st.integers(0, 2**32),
+)
+def test_detect_is_deterministic(g, method, run_modmax, seed):
+    # Nodes of equal degree share one weight row, so a write into a row
+    # would reweight all of them: every algorithm must leave g as it was.
+    before = copy.deepcopy((g.adj, g.weights, g.self_loops, g.labels))
     cfg = RunConfig(method=method, threshold=0.7, run_modmax=run_modmax)
     assert detect(g, cfg).cover == detect(g, cfg).cover
+    assert louvain(g) == louvain(g)
+    assert label_propagation(g, seed) == label_propagation(g, seed)
+    assert (g.adj, g.weights, g.self_loops, g.labels) == before
+
+
+def levels(g: Graph, data) -> tuple[Graph, Graph, Graph]:
+    """``g``, the contraction of a random cover (integer weights and
+    self-loops) and a fractional-weight copy of ``g``."""
+    return g, reduce_graph(g, data.draw(covers(g))).graph, fractional_copy(g, data)
 
 
 @settings(deadline=None)
 @given(MIXED_GRAPHS, st.data())
 def test_local_moves_converge_to_no_improving_move(g, data):
-    # Contracting a random cover first gives weighted graphs with self-loops.
-    for level in (g, reduce_graph(g, data.draw(covers(g))).graph):
+    for level in levels(g, data):
         partition = _local_moves(level)
         for v in range(level.n):
             for c in {partition[u] for u in level.adj[v]}:
@@ -119,7 +147,7 @@ def test_local_moves_converge_to_no_improving_move(g, data):
 @settings(deadline=None)
 @given(MIXED_GRAPHS, st.data())
 def test_local_moves_is_idempotent(g, data):
-    for level in (g, reduce_graph(g, data.draw(covers(g))).graph):
+    for level in levels(g, data):
         partition = _local_moves(level, data.draw(covers(level)).assignment)
         assert _local_moves(level, partition) == partition
 
@@ -127,7 +155,7 @@ def test_local_moves_is_idempotent(g, data):
 @settings(deadline=None)
 @given(MIXED_GRAPHS, st.data())
 def test_local_moves_never_lower_modularity(g, data):
-    for level in (g, reduce_graph(g, data.draw(covers(g))).graph):
+    for level in levels(g, data):
         initial = data.draw(covers(level))
         partition = _local_moves(level, initial.assignment)
         assert modularity(level, Cover(partition)) >= modularity(level, initial) - 1e-12
@@ -155,8 +183,8 @@ def test_refine_cover_depends_only_on_label_order(g, data):
 def test_local_moves_equal_the_full_pass_oracle(g, data):
     # Skipping clean vertices in closing passes must make the same moves as
     # evaluating every vertex: same partition from singletons and from a
-    # cover with labels above n, on the graph and a weighted contraction.
-    for level in (g, reduce_graph(g, data.draw(covers(g))).graph):
+    # cover with labels above n, on the graph and two weighted levels.
+    for level in levels(g, data):
         assert _local_moves(level) == local_moves(level)
         initial = data.draw(wide_covers(level))
         assert _local_moves(level, initial) == local_moves(level, initial)
@@ -187,13 +215,9 @@ def test_contraction_preserves_modularity(g, data):
 @settings(deadline=None)
 @given(MIXED_GRAPHS, st.data())
 def test_contraction_equals_dict_and_sort_oracle(g, data):
-    # Fractional weights make every float sum depend on its order.  Each
-    # level is contracted from a cover with unassigned nodes and from one
-    # with labels above n.
-    weight = st.floats(0.01, 1.0)
-    fractional = oracles.weighted_graph(
-        {e: data.draw(weight) for e in oracles.edges(g)}, [data.draw(weight) for _ in range(g.n)]
-    )
+    # Each level is contracted from a cover with unassigned nodes and from
+    # one with labels above n.
+    fractional = fractional_copy(g, data)
     contracted = oracles.reduce_graph(fractional, data.draw(covers(fractional))).graph
     for level in (g, fractional, contracted):
         with_unassigned = data.draw(covers(level, unassigned=True))
@@ -212,12 +236,7 @@ def test_contraction_equals_dict_and_sort_oracle(g, data):
     st.integers(0, 2**32),
 )
 def test_sample_edges_equals_dict_and_sort_oracle(g, data, fraction, seed):
-    # The weighted level has fractional weights and self-loops.
-    weight = st.floats(0.01, 1.0)
-    weighted = oracles.weighted_graph(
-        {e: data.draw(weight) for e in oracles.edges(g)}, [data.draw(weight) for _ in range(g.n)]
-    )
-    for level in (g, weighted):
+    for level in (g, fractional_copy(g, data)):
         population = [
             (u, v, w)
             for u, nbrs in enumerate(level.adj)
