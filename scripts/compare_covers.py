@@ -23,7 +23,10 @@ graphs (Erdos-Renyi and planted partitions, some with isolated nodes, with
 a few duplicate edges and self-loops in the edge list), and for two fixed
 seeded graphs of 2000 nodes, large enough for local moves to run several
 closing passes: a G(n, m) graph with m ≈ 4.4 n and a planted partition
-of 40 groups.  Every difference
+of 40 groups.  On a seeded copy of each of these two with fractional
+weights and self-loops down to 1e-6, where every float sum depends on its
+order, it also digests ``_local_moves`` from singletons and from a seeded
+cover.  Every difference
 is printed, a differing cover with its old -> new Q, and the last line
 counts the differing covers whose Q rose and fell and gives the largest
 fall.  The exit status is 1 if anything differs, else 0.
@@ -104,6 +107,21 @@ def mid_size_edges(name: str) -> tuple[list[tuple[str, str]], list[str]]:
     return [(str(u), str(v)) for u, v in pairs], [str(v) for v in range(n)]
 
 
+def fractional_copy(g, rng: random.Random):
+    """``g`` with a log-uniform weight in [1e-6, 1] on every edge and self-loop."""
+    from commspread import Graph
+
+    weights = [[0.0] * len(nbrs) for nbrs in g.adj]
+    for v, nbrs in enumerate(g.adj):
+        for i, u in enumerate(nbrs):
+            if u > v:
+                w = 10.0 ** rng.uniform(-6.0, 0.0)
+                weights[v][i] = w
+                weights[u][g.adj[u].index(v)] = w
+    loops = [10.0 ** rng.uniform(-6.0, 0.0) for _ in range(g.n)]
+    return Graph(adj=g.adj, weights=weights, self_loops=loops, labels=[])
+
+
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -140,7 +158,7 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
         run_traversal,
         write_cover_file,
     )
-    from commspread.refine import reduce_graph
+    from commspread.refine import _local_moves, reduce_graph
 
     # Trees whose traversal trace is opt-in are asked for it, so their trace
     # digests compare with those of trees that always record it.
@@ -197,6 +215,13 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
                 for field in TRAVERSAL_FIELDS:
                     text = json.dumps(getattr(result, field))
                     out[f"{name}/traversal-{method}{suffix}/{field}"] = (sha(text), None)
+        if name in MID_SIZE:
+            rng = random.Random(f"{name}/fractional")
+            level = fractional_copy(g, rng)
+            seeded = Cover(seeded_cover(rng, g.n)).with_singletons().assignment
+            for start, initial in (("singletons", None), ("seeded", seeded)):
+                partition = _local_moves(level, initial)
+                out[f"{name}/fractional-moves-{start}"] = (sha(json.dumps(partition)), None)
         rng = random.Random(name)
         k = rng.randrange(1, g.n + 1) if g.n else 1
         stats = cover_stats(g, Cover([rng.randrange(k) for _ in range(g.n)]))

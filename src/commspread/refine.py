@@ -6,6 +6,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter, _count_elements, deque
 from dataclasses import dataclass
+from math import inf
 
 from .cover import UNASSIGNED, Cover
 from .graph import Graph
@@ -147,17 +148,28 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
     when the queue empties after a move it is refilled with ``0..n-1``: the
     level ends only after a full pass in which no vertex moved.
 
-    Closing passes after the first evaluate only dirty vertices.  The first
-    refill marks every vertex dirty, evaluating a vertex clears its mark,
-    and from then on a move of ``y`` from community ``A`` to ``B`` marks
-    (a) every neighbor of ``y``, whose weights to ``A`` and ``B`` changed;
-    (b) every member of ``B``, ``y`` included, whose stay term fell as the
-    total of ``B`` grew; (c) every vertex outside ``A`` adjacent to a
-    member of ``A``, whose gain for joining ``A`` rose as its total fell.
-    Any other vertex sees only its stay term rise or an alternative's total
-    grow.  Float subtraction and multiplication are monotone, so it would
-    again compute "stay", and skipping it makes the same moves in the same
-    order as evaluating every vertex of every closing pass.
+    A popped ``v`` is skipped while a certificate proves it would stay, so
+    the moves are those of evaluating every popped vertex.  ``moved``
+    counts the strength moved, exactly, in units of ``w2 / 2**40``: a move
+    of strength ``s`` adds ``int(s * 2**40 / w2) + 2``, over ``s`` and a
+    unit.  When ``v`` stays with margin ``M`` over its best alternative,
+    ``expires[v] = moved + int(M * 2**39 / s_v)``, or infinity with no
+    alternative or no strength.  A move to ``B`` resets the certificates
+    of the mover's queued neighbors and of those outside ``B``, which it
+    queues; the mover's own had expired.  Until a reset, any neighbor of
+    ``v`` that moved joined its community, which with non-negative weights
+    only favours staying, even in float sums: a sum in adjacency order is
+    monotone in its set of terms.  A move shifts two totals by its
+    strength, weighed by ``s_v / w2`` in stay minus a gain, so each unit
+    moved costs at most ``s_v * 2**-39`` of the margin, and ``v`` is
+    skipped only while ``moved < expires[v]``, a unit short of spending
+    ``M``.  That unit, ``2**14 u s_v`` for unit roundoff ``u = 2**-53``,
+    covers all rounding: stay and each gain are within ``8 u s_v`` at
+    either evaluation; an update of a total rounds by at most
+    ``w2 * 2**-52``, below the extra unit of its move; the scalings err by
+    a relative ``u``, and ``int`` truncates.  This assumes no underflow or
+    overflow, and fewer than ``2**48`` vertices and moves in a level, so
+    no total, rounding included, exceeds ``2 w2``.
     """
     n = g.n
     partition = list(range(n)) if initial is None else list(initial)
@@ -177,30 +189,22 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
     tolerance = MOVE_TOLERANCE * w2 / 2.0
     queue = deque(range(n))
     queued = [True] * n
-    moved = False
-    # Set at the first refill: the dirty marks and each community's members.
-    dirty: bytearray | None = None
-    members: dict[int, list[int]] = {}
+    moved = refilled_at = 0
+    expires: list[float] = [-1] * n  # -1: evaluate when popped
     # On a unit-weight level the weight to a community is its neighbor
     # count, counted at C speed; integer counts convert to float exactly,
     # so every gain and tie is the one the weighted sum would give.
     unit = all(ws.count(1.0) == len(ws) for ws in weights)
     label_of = partition.__getitem__
-    while queue or moved:
+    while queue or moved != refilled_at:
         if not queue:
-            if dirty is None:
-                dirty = bytearray(b"\x01") * n
-                for u, c in enumerate(partition):
-                    members.setdefault(c, []).append(u)
+            refilled_at = moved
             queue.extend(range(n))
             queued = [True] * n
-            moved = False
         v = queue.popleft()
         queued[v] = False
-        if dirty is not None:
-            if not dirty[v]:
-                continue
-            dirty[v] = 0
+        if moved < expires[v]:
+            continue
         cur = partition[v]
         weight_to: dict[int, float] = {}
         if unit:
@@ -209,35 +213,30 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
             for u, w in zip(adj[v], weights[v]):
                 c = partition[u]
                 weight_to[c] = weight_to.get(c, 0.0) + w
-        s_frac = strength[v] / w2
-        stay = weight_to.pop(cur, 0.0) - (tot[cur] - strength[v]) * s_frac
-        best_c, best_gain = cur, stay
+        s_v = strength[v]
+        s_frac = s_v / w2
+        stay = weight_to.pop(cur, 0.0) - (tot[cur] - s_v) * s_frac
+        best_c, best_gain = cur, -inf
         for c, k in weight_to.items():
             gain = k - tot[c] * s_frac
             if gain > best_gain or (gain == best_gain and c < best_c):
                 best_c, best_gain = c, gain
         if best_gain - stay > tolerance:
             partition[v] = best_c
-            tot[cur] -= strength[v]
-            tot[best_c] += strength[v]
-            moved = True
+            tot[cur] -= s_v
+            tot[best_c] += s_v
+            moved += int(s_v * 2.0**40 / w2) + 2
             for u in adj[v]:
-                if not queued[u] and partition[u] != best_c:
+                if queued[u]:
+                    expires[u] = -1
+                elif partition[u] != best_c:
+                    expires[u] = -1
                     queued[u] = True
                     queue.append(u)
-            if dirty is not None:
-                for u in adj[v]:  # (a)
-                    dirty[u] = 1
-                joined = members[best_c]
-                joined.append(v)
-                for u in joined:  # (b)
-                    dirty[u] = 1
-                left = members[cur]
-                left.remove(v)
-                for x in left:  # (c)
-                    for u in adj[x]:
-                        if partition[u] != cur:
-                            dirty[u] = 1
+        elif weight_to and s_v:
+            expires[v] = moved + int((stay - best_gain) * 2.0**39 / s_v)
+        else:
+            expires[v] = inf
     return partition
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import pathlib
 import random
@@ -19,6 +20,15 @@ def load_dataset(name: str) -> Graph:
         pytest.skip(f"dataset {name} not present; run scripts/fetch_datasets.py")
     with path.open("r", encoding="utf-8") as fh:
         return load_edge_list(fh)
+
+
+def perfbench_module(name: str):
+    """The benchmark's module ``perfbench/<name>.py``, loaded by path."""
+    path = DATA_DIR.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def graph(text: str) -> Graph:

@@ -237,8 +237,8 @@ def allocate_brokers(g: Graph, cover: Cover, node_type: list[NodeType]) -> Cover
 def local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
     """Queue-driven local moves whose every closing pass evaluates all of ``0..n-1``.
 
-    The rule of :func:`commspread.refine._local_moves` without its dirty
-    marks: a FIFO queue starts as ``0..n-1``; a popped vertex takes the
+    The rule of :func:`commspread.refine._local_moves` without its stay
+    certificates: a FIFO queue starts as ``0..n-1``; a popped vertex takes the
     neighbor community with the largest gain over staying if that gain
     exceeds the tolerance (ties: smallest label) and then queues its
     neighbors outside the new community; when the queue empties after a

@@ -7,7 +7,6 @@ edge lists have not been fetched; see scripts/fetch_datasets.py.
 """
 
 import gc
-import importlib.util
 import random
 import statistics
 import time
@@ -19,7 +18,7 @@ from commspread.cli import _linear_fit
 from commspread.refine import reduce_graph
 from commspread.traversal import NodeType, classify_by_conductance
 
-from conftest import DATA_DIR, load_dataset, random_graph, random_partition
+from conftest import DATA_DIR, load_dataset, perfbench_module, random_graph, random_partition
 from oracles import communities, conductance_args, lowers_conductance, weighted_graph
 
 
@@ -160,21 +159,12 @@ def big_graph() -> Graph:
     return weighted_graph(dict.fromkeys(edges, 1.0), [0.0] * n)
 
 
-def _load_reference():
-    """The benchmark's fixed reference workload (perfbench/reference.py)."""
-    path = DATA_DIR.parent / "perfbench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.reference_s
-
-
 def test_criterion_7_traversal_linearity(capsys, big_graph):
     # The machine's speed drifts over seconds, so the four fractions take
     # turns within each repeat, each timing is divided by the reference
     # workload timed just before and after it, and the median is fitted.
     assert big_graph.m >= 100_000
-    reference_s = _load_reference()
+    reference_s = perfbench_module("reference").reference_s
     cfg = RunConfig(method="ins", threshold=0.75)
     samples = [
         big_graph if fraction == 1.0 else big_graph.sample_edges(fraction, seed=0)

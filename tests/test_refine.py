@@ -1,10 +1,11 @@
 """Broker allocation, graph contraction and modularity maximization."""
 
 import random
+from collections import _count_elements
 
 import pytest
 
-from commspread import Cover, Graph, RunConfig, modularity, run_traversal
+from commspread import Cover, Graph, RunConfig, modularity, refine, run_traversal
 from commspread.cover import UNASSIGNED
 from commspread.refine import (
     MOVE_TOLERANCE,
@@ -17,7 +18,7 @@ from commspread.refine import (
 )
 from commspread.traversal import NodeType
 
-from conftest import graph, random_graph, random_partition
+from conftest import graph, perfbench_module, random_graph, random_partition
 from oracles import communities, delta_modularity, local_moves, weighted_graph
 
 
@@ -179,34 +180,67 @@ def test_local_moves_end_on_a_full_pass_without_moves():
             assert delta_modularity(g, partition, v, c) <= MOVE_TOLERANCE
 
 
-# One graph per rule that marks a vertex dirty in the closing passes: each
-# partition is the full-pass oracle's, and dropping the rule changes it.
+# One graph per clause of the stay certificate that sends a vertex back to
+# evaluation: each partition is the full-pass oracle's, and dropping the
+# clause changes it.
 
 
 def test_closing_pass_revisits_neighbors_of_a_moved_vertex():
-    # First closing pass: 4 has chosen to stay in community 5 with vertex 5,
-    # then 5 leaves for community 6.  4 is in neither 6 nor outside 5, so
-    # only rule (a) marks it, and it must follow 5 into 6.
+    # First closing pass: 4 stays in community 5 with vertex 5, its only
+    # neighbor, so it has no alternative and its certificate never expires;
+    # then 5 leaves for community 6.  4 is a neighbor of 5 outside 6, so the
+    # move resets its certificate, and it must follow 5 into 6.
     g = numbered(7, [(0, 1), (0, 5), (2, 5), (2, 6), (3, 5), (3, 6), (4, 5), (5, 6)])
     assert _local_moves(g) == local_moves(g) == [1, 1, 6, 6, 6, 6, 6]
 
 
+def test_closing_pass_revisits_queued_neighbors_of_a_moved_vertex():
+    # 7 ends the first pass in community 7 = {5, 6, 7} with a certificate
+    # and is queued again by the refill.  Then 5, a neighbor of 7, leaves
+    # for community 4.  7 is already queued, but the move must still reset
+    # its certificate, and 7 follows 5 into 4.
+    g = numbered(
+        8, [(0, 2), (0, 3), (0, 6), (0, 7), (1, 4), (1, 7), (2, 3), (2, 4), (4, 5), (5, 7), (6, 7)]
+    )
+    assert _local_moves(g) == local_moves(g) == [3, 4, 3, 3, 4, 4, 3, 4]
+
+
 def test_closing_pass_revisits_members_of_the_joined_community():
-    # First closing pass: 0 has chosen to stay in community 5, then 2, not
-    # a neighbor of 0, joins 5 from community 4.  The larger total of 5
-    # sends 0 to community 6 in the second closing pass; only rule (b)
-    # marks it.
+    # First closing pass: 0 stays in community 5, then 2, not a neighbor of
+    # 0, joins 5 from community 4.  No move resets 0's certificate, but the
+    # strength moved since outgrows its margin: the larger total of 5 sends
+    # 0 to community 6 in the second closing pass.
     g = numbered(8, [(0, 5), (0, 6), (1, 2), (1, 4), (1, 7), (2, 5), (3, 6)])
     assert _local_moves(g) == local_moves(g) == [6, 4, 5, 6, 4, 5, 6, 4]
 
 
 def test_closing_pass_revisits_vertices_next_to_the_left_community():
-    # First closing pass: 2, adjacent to 0 and 1, has chosen to stay in
-    # community 6, then 3 leaves community 3 = {0, 1, 3} for 5.  3 is not a
-    # neighbor of 2; the smaller total of 3 draws 2 into it in the second
-    # closing pass, and only rule (c) marks it.
+    # First closing pass: 2, adjacent to 0 and 1, stays in community 6 on a
+    # tie with community 3 = {0, 1, 3}, a margin that covers no drift; then
+    # 3, not a neighbor of 2, leaves 3 for 5.  The smaller total of 3 draws
+    # 2 into it in the second closing pass.
     g = numbered(7, [(0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (2, 6), (3, 5), (4, 5), (4, 6)])
     assert _local_moves(g) == local_moves(g) == [3, 3, 3, 5, 6, 5, 6]
+
+
+def test_certificates_skip_vertices_that_stay(monkeypatch):
+    # Each evaluation on a unit-weight level counts its neighbor labels
+    # once.  The initial queue makes 3385 evaluations here and the one
+    # closing pass 1000 when it evaluates every vertex, 4385 in all; the
+    # certificates skip a third of that pass.
+    edges, _ = perfbench_module("graphs").planted(20, 50, 0.2, 600, seed=7)
+    g = Graph.from_edges([(str(u), str(v)) for u, v in edges])
+    assert (g.n, g.m) == (1000, 5553)
+    evaluations = 0
+
+    def counting(mapping, iterable):
+        nonlocal evaluations
+        evaluations += 1
+        _count_elements(mapping, iterable)
+
+    monkeypatch.setattr(refine, "_count_elements", counting)
+    assert _local_moves(g) == local_moves(g)
+    assert evaluations < 4385
 
 
 def test_maximize_modularity_splits_two_cliques():
