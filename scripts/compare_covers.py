@@ -13,8 +13,8 @@ traced run under ins and cond, from the default start and from the last
 node (``start=g.n - 1``), and of the ``cover_stats`` of a seeded
 random partition, and the modularity of every cover next to its digest.
 It also digests every graph it builds (adjacency, weights, self-loops,
-labels and load report) and the
-``reduce_graph`` results of the singleton cover and of a seeded random
+labels and load report) and the ``reduce_graph`` results (contracted
+graph and member map) of the singleton cover and of a seeded random
 cover with unassigned nodes.  That cover is shaped like the pipeline's:
 each label is the id of one of its members, so no unassigned node's id is
 a label.  It also digests the ``sample_edges`` samples of every graph at
@@ -30,13 +30,18 @@ cover.  Every difference
 is printed, a differing cover with its old -> new Q, and the last line
 counts the differing covers whose Q rose and fell and gives the largest
 fall.  The exit status is 1 if anything differs, else 0.
+
+REV can reach back to ``7cb54c8``, the first tree whose ``run_traversal``
+takes ``trace``; the digest mode fails on older trees.  The two
+digest processes draw their own string-hash seeds unless ``PYTHONHASHSEED``
+is set, so comparing ``HEAD`` with an unchanged tree checks that no result
+depends on hash or set order.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import inspect
 import io
 import json
 import os
@@ -160,9 +165,6 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
     )
     from commspread.refine import _local_moves, reduce_graph
 
-    # Trees whose traversal trace is opt-in are asked for it, so their trace
-    # digests compare with those of trees that always record it.
-    traced = {"trace": True} if "trace" in inspect.signature(run_traversal).parameters else {}
     algorithms = {
         "ins": lambda g: detect(g, RunConfig(method="ins", threshold=0.75)).cover,
         "cond": lambda g: detect(g, RunConfig(method="cond")).cover,
@@ -195,7 +197,7 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
             ("seeded", Cover(seeded_cover(rng, g.n))),
         ):
             rg = reduce_graph(g, cover)
-            text = json.dumps(structure(rg.graph) + [rg.label_map, rg.member_map])
+            text = json.dumps(structure(rg.graph) + [rg.member_map])
             out[f"{name}/reduce-{cover_name}"] = (sha(text), None)
         for fraction in SAMPLE_FRACTIONS:
             text = json.dumps(structure(g.sample_edges(fraction, seed=0)))
@@ -211,7 +213,7 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
         for method in ("ins", "cond"):
             for suffix, start in starts.items():
                 cfg = RunConfig(method=method, threshold=0.75, start=start)
-                result = run_traversal(g, cfg, **traced)
+                result = run_traversal(g, cfg, trace=True)
                 for field in TRAVERSAL_FIELDS:
                     text = json.dumps(getattr(result, field))
                     out[f"{name}/traversal-{method}{suffix}/{field}"] = (sha(text), None)

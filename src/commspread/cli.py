@@ -160,11 +160,12 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             if args.phase == "traversal":
                 run_traversal(sample, cfg)
+                ms = (time.perf_counter() - t0) * 1000.0
                 q_text, k = "", 0
             else:
                 result = detect(sample, cfg)
+                ms = (time.perf_counter() - t0) * 1000.0
                 q_text, k = f"{modularity(sample, result.cover):.6f}", result.cover.k
-            ms = (time.perf_counter() - t0) * 1000.0
             times.append(ms)
             print(
                 f"{dataset},{fraction},{args.method},{args.phase},{run},{ms:.3f},{q_text},{k}"

@@ -70,14 +70,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def strength(self, v: int) -> float:
-        """Weighted degree including the self-loop weight."""
-        return sum(self.weights[v]) + self.self_loops[v]
-
-    def total_weight(self) -> float:
-        """Sum of strengths over all nodes (equals 2m on input graphs)."""
-        return sum(self.strength(v) for v in range(self.n))
-
     def id_of(self, label: str) -> int:
         return self.index[label]
 

@@ -16,25 +16,7 @@ def modularity(g: Graph, cover: Cover) -> float:
     modularity invariant under the contraction in
     :func:`commspread.refine.reduce_graph`.
     """
-    assign = cover.assignment
-    if UNASSIGNED in assign:
-        raise ValueError("modularity requires every node to carry a label")
-    w2 = g.total_weight()
-    if w2 == 0:
-        return 0.0
-    internal: dict[int, float] = {}
-    volume: dict[int, float] = {}
-    adj, weights, loops = g.adj, g.weights, g.self_loops
-    for v in range(g.n):
-        c = assign[v]
-        volume[c] = volume.get(c, 0.0) + g.strength(v)
-        internal[c] = internal.get(c, 0.0) + loops[v]
-        for u, w in zip(adj[v], weights[v]):
-            if assign[u] == c:
-                internal[c] = internal.get(c, 0.0) + w
-    return sum(
-        internal.get(c, 0.0) / w2 - (volume[c] / w2) ** 2 for c in volume
-    )
+    return cover_stats(g, cover).modularity
 
 
 @dataclass
@@ -46,26 +28,39 @@ class CoverStats:
 
 
 def cover_stats(g: Graph, cover: Cover) -> CoverStats:
-    """Size and quality statistics for a cover: one edge pass for the
-    modularity, a second for the sizes, volumes and cuts.
+    """Size and quality statistics for a cover from one pass over the edges.
 
-    A community's conductance is its cut over the smaller of its volume and
-    the rest of the volume, or 0 when that minimum is 0.
+    A community's volume is the sum of its members' strengths, self-loops
+    included, as in the modularity.  Its conductance is its cut weight over
+    the smaller of its volume and the rest of the volume, or 0 when that
+    minimum is 0.
     """
-    q = modularity(g, cover)  # rejects unassigned nodes
     assign = cover.assignment
+    if UNASSIGNED in assign:
+        raise ValueError("modularity requires every node to carry a label")
+    adj, weights, loops = g.adj, g.weights, g.self_loops
+    strength = [sum(ws) + loop for ws, loop in zip(weights, loops)]
+    w2 = sum(strength)
     sizes: dict[int, int] = {}
-    volume: dict[int, int] = {}
-    cut: dict[int, int] = {}
+    volume: dict[int, float] = {}
+    internal: dict[int, float] = {}
+    cut: dict[int, float] = {}
     for v, c in enumerate(assign):
-        nbrs = g.adj[v]
         sizes[c] = sizes.get(c, 0) + 1
-        volume[c] = volume.get(c, 0) + len(nbrs)
-        cut[c] = cut.get(c, 0) + sum(1 for u in nbrs if assign[u] != c)
-    twom = 2 * g.m
+        volume[c] = volume.get(c, 0.0) + strength[v]
+        inside = internal.get(c, 0.0) + loops[v]
+        outside = cut.get(c, 0.0)
+        for u, w in zip(adj[v], weights[v]):
+            if assign[u] == c:
+                inside += w
+            else:
+                outside += w
+        internal[c] = inside
+        cut[c] = outside
+    q = sum(internal[c] / w2 - (volume[c] / w2) ** 2 for c in volume) if w2 else 0.0
     conductances = {}
     for c, vol in volume.items():
-        denom = min(vol, twom - vol)
+        denom = min(vol, w2 - vol)
         conductances[c] = cut[c] / denom if denom > 0 else 0.0
     return CoverStats(
         community_count=len(sizes),

@@ -60,12 +60,10 @@ def post_process(g: Graph, cover: Cover, node_type: list[NodeType]) -> Cover:
 class ReducedGraph:
     """Weighted super-vertex graph obtained by contracting a cover.
 
-    ``label_map[s]`` is the contracted community label of super-vertex ``s``,
-    ``member_map[v]`` the super-vertex of the input graph's node ``v``.
+    ``member_map[v]`` is the super-vertex of the input graph's node ``v``.
     """
 
     graph: Graph
-    label_map: list[int]
     member_map: list[int]
 
 
@@ -87,7 +85,7 @@ def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
     ]
     if len(super_of_label) == g.n:
         # Every community is one node: the contraction would copy g exactly.
-        return ReducedGraph(graph=g, label_map=list(super_of_label), member_map=node_super)
+        return ReducedGraph(graph=g, member_map=node_super)
 
     k = len(super_of_label)
     self_loops = [0.0] * k
@@ -128,7 +126,6 @@ def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
 
     return ReducedGraph(
         graph=Graph(adj=out_adj, weights=out_weights, self_loops=self_loops, labels=[]),
-        label_map=list(super_of_label),
         member_map=node_super,
     )
 
@@ -246,12 +243,18 @@ def refine_cover(g: Graph, cover: Cover) -> Cover:
     Runs the queue-driven local moves of :func:`_local_moves` on ``g``
     starting from the cover (unassigned nodes enter as singletons), then
     contracts the result and continues on the super-vertex levels of
-    :func:`maximize_modularity`.  Communities keep the label of their
-    smallest original member's seed community.  As in :func:`_local_moves`,
-    labels must be non-negative and not much above ``n``.
+    :func:`maximize_modularity`.  Each community takes the label that its
+    smallest member held after the local moves on ``g``.  As in
+    :func:`_local_moves`, labels must be non-negative and not much above
+    ``n``.
     """
     partition = _local_moves(g, cover.with_singletons().assignment)
-    return maximize_modularity(reduce_graph(g, Cover(partition)))
+    communities = maximize_modularity(reduce_graph(g, Cover(partition))).assignment
+    # Ascending node order meets each community first at its smallest member.
+    label_of: dict[int, int] = {}
+    for v, s in enumerate(communities):
+        label_of.setdefault(s, partition[v])
+    return Cover([label_of[s] for s in communities])
 
 
 def maximize_modularity(rg: ReducedGraph) -> Cover:
@@ -261,22 +264,16 @@ def maximize_modularity(rg: ReducedGraph) -> Cover:
     resulting partition, and repeats until a level ends with every vertex
     still a singleton, that is, after a full pass in which no vertex moved.
     Returns a cover over the original node ids that entered
-    :func:`reduce_graph`, labeled by community label of the smallest
-    original member.
+    :func:`reduce_graph`, with communities numbered ``0..k-1`` by smallest
+    original member: every contraction numbers its super-vertices in that
+    order.
     """
     node_super = rg.member_map  # original node -> current-level vertex
     level = rg.graph
     while True:
         partition = _local_moves(level)
         if partition == list(range(level.n)):
-            break
+            return Cover(node_super)
         contracted = reduce_graph(level, Cover(partition))
         node_super = [contracted.member_map[s] for s in node_super]
         level = contracted.graph
-
-    # Label each final community by the traversal label of its smallest
-    # member, which ascending node order meets first.
-    label_of: dict[int, int] = {}
-    for v, s in enumerate(node_super):
-        label_of.setdefault(s, rg.label_map[rg.member_map[v]])
-    return Cover([label_of[s] for s in node_super])

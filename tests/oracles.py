@@ -67,14 +67,31 @@ def communities(cover: Cover) -> dict[int, set[int]]:
     return index
 
 
+def strength(g: Graph, v: int) -> float:
+    """Weighted degree of ``v``, its self-loop weight included."""
+    return sum(g.weights[v]) + g.self_loops[v]
+
+
 def exact_conductance(g: Graph, members: set[int]) -> Fraction:
-    """Rational set conductance; 0 when the smaller side has volume 0."""
-    cut = sum(1 for u, v in edges(g) if (u in members) != (v in members))
-    volume = sum(g.degree(v) for v in members)
-    denom = min(volume, 2 * g.m - volume)
+    """Rational weighted set conductance; 0 when the smaller side has volume 0.
+
+    Every weight is summed as a ``Fraction``: the cut weight over the smaller
+    of the members' strength volume, self-loops included, and the rest.
+    """
+    cut = sum(
+        Fraction(w)
+        for u in members
+        for v, w in zip(g.adj[u], g.weights[u])
+        if v not in members
+    )
+    volume = [
+        sum(map(Fraction, g.weights[v])) + Fraction(g.self_loops[v]) for v in range(g.n)
+    ]
+    inside = sum(volume[v] for v in members)
+    denom = min(inside, sum(volume) - inside)
     if denom <= 0:
         return Fraction(0)
-    return Fraction(cut, denom)
+    return cut / denom
 
 
 def lowers_conductance(g: Graph, members: set[int], target: int) -> bool:
@@ -182,12 +199,12 @@ def delta_modularity(g: Graph, partition: list[int], v: int, target: int) -> flo
     current = partition[v]
     if target == current:
         return 0.0
-    w2 = g.total_weight()
+    w2 = sum(strength(g, u) for u in range(g.n))
     if w2 == 0:
         return 0.0
-    k_v = g.strength(v)
-    tot_cur = sum(g.strength(u) for u in range(g.n) if partition[u] == current)
-    tot_tgt = sum(g.strength(u) for u in range(g.n) if partition[u] == target)
+    k_v = strength(g, v)
+    tot_cur = sum(strength(g, u) for u in range(g.n) if partition[u] == current)
+    tot_tgt = sum(strength(g, u) for u in range(g.n) if partition[u] == target)
     in_cur = 0.0
     in_tgt = 0.0
     for u, w in zip(g.adj[v], g.weights[v]):
@@ -336,8 +353,4 @@ def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
             else:
                 key = (cu, cv) if cu < cv else (cv, cu)
                 cross[key] = cross.get(key, 0.0) + w
-    return ReducedGraph(
-        graph=weighted_graph(cross, self_loops),
-        label_map=list(super_of_label),
-        member_map=node_super,
-    )
+    return ReducedGraph(graph=weighted_graph(cross, self_loops), member_map=node_super)

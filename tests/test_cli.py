@@ -1,10 +1,13 @@
 """Command-line interface: outputs, CSV formats and error handling."""
 
 import shutil
+import time
 
 import pytest
 
+from commspread import cli
 from commspread.cli import main
+from commspread.metrics import modularity
 
 from conftest import DATA_DIR
 
@@ -303,6 +306,28 @@ def test_bench_full_phase_reports_quality(capsys, walkthrough_path):
     row = stdout.strip().splitlines()[-1].split(",")
     assert float(row[6]) >= 0.0  # Q populated in full phase
     assert int(row[7]) >= 1
+
+
+def test_bench_full_phase_times_detect_only(capsys, monkeypatch, walkthrough_path):
+    # The reported Q is computed after the clock stops: a modularity that
+    # takes 0.3 s must not show in any row's time.
+    def slow_modularity(g, cover):
+        time.sleep(0.3)
+        return modularity(g, cover)
+
+    monkeypatch.setattr(cli, "modularity", slow_modularity)
+    code, stdout, _ = run_cli(
+        capsys,
+        "bench",
+        "--input", str(walkthrough_path),
+        "--fractions", "0.5,1.0",
+        "--repeats", "1",
+        "--phase", "full",
+    )
+    assert code == 0
+    rows = [line.split(",") for line in stdout.strip().splitlines()[1:]]
+    assert len(rows) == 2
+    assert all(float(row[5]) < 300.0 for row in rows)
 
 
 def test_bench_rejects_single_fraction(capsys, walkthrough_path):

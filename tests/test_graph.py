@@ -1,13 +1,14 @@
 """Edge-list ingestion, graph queries and sampling."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from commspread import Graph, GraphParseError
+from commspread import Cover, Graph, GraphParseError, modularity
 
 from conftest import graph, load_dataset, random_graph
-from oracles import edges, weighted_graph
+from oracles import edges, strength, weighted_graph
 
 
 def test_basic_parse():
@@ -99,11 +100,12 @@ def test_sample_edges_subset_of_original(karate):
     assert set(edges(s)) <= set(edges(karate))
 
 
-def test_weighted_graph_strength_and_total_weight():
+def test_weighted_graph_modularity_counts_self_loops_in_strength():
+    # Node 0's self-loop counts in its strength and its internal weight:
+    # the strengths are 6, 2.5 and 0.5, and their total is 9.
     g = weighted_graph({(1, 2): 0.5, (0, 1): 2.0}, [4.0, 0.0, 0.0])
-    assert g.strength(0) == 6.0
-    assert g.strength(1) == 2.5
-    assert g.total_weight() == 6.0 + 2.5 + 0.5
+    q = Fraction(4, 9) - Fraction(6, 9) ** 2 - Fraction(5, 18) ** 2 - Fraction(1, 18) ** 2
+    assert modularity(g, Cover.singletons(g)) == pytest.approx(float(q), rel=1e-15)
     assert g.self_loops[0] == 4.0
     assert (g.adj[1], g.weights[1]) == ([0, 2], [2.0, 0.5])
     assert g.sample_edges(1.0, seed=0) == g  # weights and self-loops kept
@@ -114,7 +116,7 @@ def test_unweighted_invariants_random():
     for _ in range(20):
         g = random_graph(rng, rng.randrange(1, 15), rng.random())
         assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
-        assert g.total_weight() == 2 * g.m
+        assert sum(strength(g, v) for v in range(g.n)) == 2 * g.m
         for v in range(g.n):
             assert g.adj[v] == sorted(g.adj[v])
             assert v not in g.adj[v]

@@ -8,7 +8,7 @@ from commspread import Cover, Graph, cover_stats, louvain, modularity
 from commspread.cover import UNASSIGNED
 
 from conftest import graph, random_graph, random_partition
-from oracles import communities, edges, exact_conductance
+from oracles import communities, edges, exact_conductance, weighted_graph
 
 nx = pytest.importorskip("networkx")
 
@@ -102,19 +102,32 @@ def test_cover_stats_fields():
 
 
 def test_cover_stats_conductance_equals_exact_oracle():
-    # Both sides are correctly rounded quotients of the same integers, so
-    # they compare exactly.  One-community covers leave volume 0 outside,
-    # and the last two nodes are isolated.
+    # Both sides are correctly rounded quotients of the same rationals, so
+    # they compare exactly: the fractional copy's weights and self-loops are
+    # multiples of 1/8, whose float sums here are exact.  One-community
+    # covers leave volume 0 outside, and the last two nodes are isolated.
     rng = random.Random(23)
     for trial in range(60):
         n = rng.randrange(1, 16)
         p = rng.uniform(0.0, 0.7)
-        edges = [(str(u), str(v)) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-        g = Graph.from_edges(edges, extra_nodes=[str(v) for v in range(n + 2)])
+        pairs = [(str(u), str(v)) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = Graph.from_edges(pairs, extra_nodes=[str(v) for v in range(n + 2)])
+        fractional = weighted_graph(
+            {e: rng.randrange(1, 17) / 8 for e in edges(g)},
+            [rng.randrange(0, 17) / 8 for _ in range(g.n)],
+        )
         k = 1 if trial % 5 == 0 else rng.randrange(1, g.n + 1)
         cover = Cover(random_partition(rng, g.n, k))
-        stats = cover_stats(g, cover)
         members = communities(cover)
-        assert stats.sizes == {c: len(mem) for c, mem in members.items()}
-        for c, mem in members.items():
-            assert stats.conductances[c] == float(exact_conductance(g, mem))
+        for level in (g, fractional):
+            stats = cover_stats(level, cover)
+            assert stats.sizes == {c: len(mem) for c, mem in members.items()}
+            for c, mem in members.items():
+                assert stats.conductances[c] == float(exact_conductance(level, mem))
+
+
+def test_cover_stats_conductance_uses_strength_volumes():
+    # Path a-b-c-d with weights 1, 3 and 1: each half has volume 5 of 10
+    # and is cut by weight 3.
+    g = weighted_graph({(0, 1): 1.0, (1, 2): 3.0, (2, 3): 1.0}, [0.0] * 4)
+    assert cover_stats(g, Cover([0, 0, 1, 1])).conductances == {0: 3 / 5, 1: 3 / 5}

@@ -19,7 +19,7 @@ from commspread.refine import (
 from commspread.traversal import NodeType
 
 from conftest import graph, perfbench_module, random_graph, random_partition
-from oracles import communities, delta_modularity, local_moves, weighted_graph
+from oracles import communities, delta_modularity, local_moves, strength, weighted_graph
 
 
 def numbered(n: int, edges: list[tuple[int, int]]) -> Graph:
@@ -89,8 +89,7 @@ def test_reduce_graph_weights_and_conservation():
     assert rg.graph.n == 2
     assert rg.graph.self_loops == [6.0, 6.0]  # 3 intra edges * 2
     assert (rg.graph.adj, rg.graph.weights) == ([[1], [0]], [[1.0], [1.0]])
-    assert rg.graph.total_weight() == 2 * g.m
-    assert rg.label_map == [0, 1]
+    assert sum(strength(rg.graph, s) for s in range(rg.graph.n)) == 2 * g.m
     assert rg.member_map == [0, 0, 0, 1, 1, 1]
 
 
@@ -100,19 +99,17 @@ def test_reduce_graph_promotes_unassigned_to_singletons():
     rg = reduce_graph(g, cover)
     assert rg.graph.n == 2
     assert rg.member_map == [0, 0, 1]
-    assert rg.label_map == [0, 2]
 
 
 def test_reduce_graph_keeps_unassigned_apart_from_colliding_label():
     g = graph("a b\nb c\n")
     rg = reduce_graph(g, Cover([0, UNASSIGNED, 1]))
     assert rg.member_map == [0, 1, 2]
-    assert rg.label_map == [0, 2, 1]
 
 
 def test_reduce_graph_of_singletons_is_the_identity(karate):
     rg = reduce_graph(karate, Cover.singletons(karate))
-    assert rg.member_map == rg.label_map == list(range(karate.n))
+    assert rg.member_map == list(range(karate.n))
     assert (rg.graph.adj, rg.graph.weights, rg.graph.self_loops) == (
         karate.adj,
         karate.weights,
@@ -120,10 +117,9 @@ def test_reduce_graph_of_singletons_is_the_identity(karate):
     )
 
 
-def test_reduce_graph_of_singletons_keeps_their_labels():
+def test_reduce_graph_of_labeled_singletons_is_the_identity():
     g = graph("a b\nb c\n")
     rg = reduce_graph(g, Cover([5, 3, 9]))
-    assert rg.label_map == [5, 3, 9]
     assert rg.member_map == [0, 1, 2]
     assert (rg.graph.adj, rg.graph.weights, rg.graph.self_loops) == (
         g.adj,
@@ -277,3 +273,19 @@ def test_refine_cover_seeds_from_cover():
     refined = refine_cover(g, cover)
     comms = sorted(sorted(m) for m in communities(refined).values())
     assert comms == [[0, 1, 2], [3, 4, 5]]
+
+
+def test_maximize_modularity_numbers_communities_by_smallest_member():
+    # The labels of the contracted cover play no part in the result.
+    g = graph("a b\nb c\nc a\nd e\ne f\nf d\nc d\n")
+    cover = maximize_modularity(reduce_graph(g, Cover([5, 5, 5, 3, 3, 3])))
+    assert cover.assignment == [0, 0, 0, 1, 1, 1]
+
+
+def test_refine_cover_labels_each_community_by_its_smallest_member():
+    # A 4-cycle and a separate edge.  The next level merges the cycle's two
+    # level-0 communities, and the merged one takes node 0's label 2.
+    g = numbered(6, [(0, 1), (0, 3), (1, 2), (2, 3), (4, 5)])
+    cover = Cover([3, 2, 4, 1, 1, 5])
+    assert _local_moves(g, cover.assignment) == [2, 2, 1, 1, 5, 5]
+    assert refine_cover(g, cover).assignment == [2, 2, 2, 2, 5, 5]
