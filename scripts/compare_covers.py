@@ -7,11 +7,11 @@
 Both trees then run this script's digest mode in a subprocess, each with
 its own ``src/`` on ``PYTHONPATH``.  A run records the sha256 of the cover
 file written by every algorithm of ``tests/test_golden_covers.py`` (detect
-ins and cond, with and without modmax, ``louvain``, ``label_propagation``),
-of every ``TraversalResult`` field and its derived ``node_type`` of a
-traced run under ins and cond, from the default start and from the last
-node (``start=g.n - 1``), and of the ``cover_stats`` of a seeded
-random partition, and the modularity of every cover next to its digest.
+ins and cond, with and without modmax, and ``louvain``), of every
+``TraversalResult`` field and its derived ``node_type`` of a traced run
+under ins and cond, from the default start and from the last node
+(``start=g.n - 1``), and of the ``cover_stats`` fields of a seeded random
+partition, and the modularity of every cover next to its digest.
 It also digests every graph it builds (adjacency, weights, self-loops,
 labels and load report) and the ``reduce_graph`` results (contracted
 graph and member map) of the singleton cover and of a seeded random
@@ -29,7 +29,9 @@ order, it also digests ``_local_moves`` from singletons and from a seeded
 cover.  Every difference
 is printed, a differing cover with its old -> new Q, and the last line
 counts the differing covers whose Q rose and fell and gives the largest
-fall.  The exit status is 1 if anything differs, else 0.
+fall.  The exit status is 1 if anything differs, else 0.  If a digest run
+fails, its stderr is printed, with which tree failed, and the exit status
+is 1.
 
 REV can reach back to ``7cb54c8``, the first tree whose ``run_traversal``
 takes ``trace``; the digest mode fails on older trees.  The two
@@ -156,7 +158,6 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
         RunConfig,
         cover_stats,
         detect,
-        label_propagation,
         load_edge_list,
         louvain,
         modularity,
@@ -173,7 +174,6 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
         ).cover,
         "cond-skip": lambda g: detect(g, RunConfig(method="cond", run_modmax=False)).cover,
         "louvain": louvain,
-        "lpa": lambda g: label_propagation(g, seed=0),
     }
 
     cases = []
@@ -227,19 +227,23 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
         rng = random.Random(name)
         k = rng.randrange(1, g.n + 1) if g.n else 1
         stats = cover_stats(g, Cover([rng.randrange(k) for _ in range(g.n)]))
-        out[f"{name}/cover_stats"] = (sha(json.dumps(asdict(stats), sort_keys=True)), None)
+        text = json.dumps([stats.sizes, stats.modularity, stats.conductances], sort_keys=True)
+        out[f"{name}/cover_stats"] = (sha(text), None)
     return out
 
 
-def run_tree(src: pathlib.Path, graphs: int, seed: int) -> dict[str, list]:
+def run_tree(src: pathlib.Path, tree: str, graphs: int, seed: int) -> dict[str, list]:
+    """The digests of ``src``; exits with the child's stderr if its run fails."""
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, __file__, "--digest", "--graphs", str(graphs), "--seed", str(seed)],
         env=env,
-        check=True,
         capture_output=True,
         text=True,
     )
+    if proc.returncode:
+        sys.stderr.write(proc.stderr)
+        sys.exit(f"digest run of {tree} failed with exit status {proc.returncode}")
     return json.loads(proc.stdout)
 
 
@@ -264,8 +268,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp)
-        old = run_tree(pathlib.Path(tmp) / "src", args.graphs, args.seed)
-    new = run_tree(ROOT / "src", args.graphs, args.seed)
+        old = run_tree(pathlib.Path(tmp) / "src", args.rev, args.graphs, args.seed)
+    new = run_tree(ROOT / "src", "the working tree", args.graphs, args.seed)
 
     missing = ("missing", None)
     pairs = {key: (old.get(key, missing), new.get(key, missing)) for key in old.keys() | new.keys()}

@@ -1,6 +1,6 @@
 """Traversal-based community detection with modularity refinement."""
 
-from .baselines import label_propagation, louvain
+from .baselines import louvain
 from .cover import Cover, read_cover_file, write_cover_file
 from .graph import Graph, GraphParseError, load_edge_list
 from .metrics import cover_stats, modularity
@@ -15,7 +15,6 @@ __all__ = [
     "RunConfig",
     "cover_stats",
     "detect",
-    "label_propagation",
     "load_edge_list",
     "louvain",
     "modularity",

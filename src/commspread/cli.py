@@ -114,7 +114,7 @@ def cmd_eval(args) -> int:
         raise CliError(str(exc)) from exc
     stats = cover_stats(g, cover)
     print(f"Q\t{stats.modularity:.3f}")
-    print(f"k\t{stats.community_count}")
+    print(f"k\t{len(stats.sizes)}")
     print(
         "sizes\t"
         + "\t".join(f"{c}:{stats.sizes[c]}" for c in sorted(stats.sizes))

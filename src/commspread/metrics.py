@@ -21,7 +21,6 @@ def modularity(g: Graph, cover: Cover) -> float:
 
 @dataclass
 class CoverStats:
-    community_count: int
     sizes: dict[int, int]
     modularity: float
     conductances: dict[int, float]
@@ -63,7 +62,6 @@ def cover_stats(g: Graph, cover: Cover) -> CoverStats:
         denom = min(vol, w2 - vol)
         conductances[c] = cut[c] / denom if denom > 0 else 0.0
     return CoverStats(
-        community_count=len(sizes),
         sizes=sizes,
         modularity=q,
         conductances=conductances,

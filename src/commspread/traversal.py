@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
-from itertools import filterfalse
+from itertools import chain, filterfalse
 from typing import Optional
 
 from .graph import Graph
@@ -164,9 +164,13 @@ def run_traversal(g: Graph, cfg: RunConfig, trace: bool = False) -> TraversalRes
 
     # Restart nodes come from one list walked by a monotone cursor, so
     # selecting all of them costs O(n) total even on graphs with many
-    # components: cfg.start first, then every node by degree.  The sort is
-    # stable, so ties keep ascending ids.
-    order = sorted(range(n), key=degree.__getitem__)
+    # components: cfg.start first, then every node by degree.  The degree
+    # buckets fill in ascending id order, so ties keep ascending ids, and
+    # building the order costs O(n), not a sort's O(n log n).
+    buckets: list[list[int]] = [[] for _ in range(max(degree) + 1)]
+    for v, d in enumerate(degree):
+        buckets[d].append(v)
+    order = list(chain.from_iterable(buckets))
     if start is not None:
         order.insert(0, start)
     cursor = 0

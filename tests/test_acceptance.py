@@ -195,7 +195,8 @@ def test_criterion_7_traversal_linearity(capsys, big_graph):
         capsys,
         "7 traversal linearity",
         ok,
-        f"R²={r2:.4f} over m={[int(x) for x in xs]}, inspections ≤ 2m+n: {inspections_ok}",
+        f"R²={r2:.4f} over m={[int(x) for x in xs]}, median time / reference "
+        f"{[round(y, 4) for y in ys]}, inspections ≤ 2m+n: {inspections_ok}",
     )
 
 

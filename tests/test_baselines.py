@@ -1,12 +1,10 @@
-"""Reference algorithms: label propagation and greedy modularity baseline."""
-
-import random
+"""The Louvain baseline: greedy multilevel modularity maximization."""
 
 import pytest
 
-from commspread import Cover, Graph, label_propagation, louvain, modularity
+from commspread import Cover, Graph, louvain, modularity
 
-from conftest import graph, load_dataset, random_graph
+from conftest import graph, load_dataset
 from oracles import communities, edges
 
 
@@ -15,30 +13,6 @@ TWO_CLIQUES = (
     "e f\ne g\ne h\nf g\nf h\ng h\n"
     "d e\n"
 )
-
-
-def test_label_propagation_finds_cliques():
-    g = graph(TWO_CLIQUES)
-    cover = label_propagation(g, seed=0)
-    comms = sorted(sorted(m) for m in communities(cover).values())
-    assert comms == [[0, 1, 2, 3], [4, 5, 6, 7]]
-
-
-def test_label_propagation_deterministic_per_seed():
-    rng = random.Random(31)
-    g = random_graph(rng, 40, 0.15)
-    a = label_propagation(g, seed=7)
-    b = label_propagation(g, seed=7)
-    assert a.assignment == b.assignment
-
-
-def test_label_propagation_covers_all_nodes():
-    rng = random.Random(32)
-    for _ in range(10):
-        g = random_graph(rng, rng.randrange(1, 30), rng.random())
-        cover = label_propagation(g, seed=1)
-        assert len(cover.assignment) == g.n
-        assert not cover.unassigned
 
 
 def test_louvain_finds_cliques():

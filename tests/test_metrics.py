@@ -94,7 +94,7 @@ def test_cover_stats_fields():
     g = graph("a b\nb c\nc a\nd e\ne f\nf d\nc d\n")
     cover = Cover([0, 0, 0, 1, 1, 1])
     stats = cover_stats(g, cover)
-    assert stats.community_count == 2
+    assert len(stats.sizes) == 2
     assert stats.sizes == {0: 3, 1: 3}
     assert stats.modularity == pytest.approx(5 / 14)
     assert stats.conductances[0] == pytest.approx(1 / 7)
