@@ -51,15 +51,18 @@ def walkthrough() -> Graph:
     return load_dataset("walkthrough13")
 
 
+def labeled_graph(n: int, edges) -> Graph:
+    """Graph on the labels ``"0"`` .. ``str(n - 1)`` with the integer pairs ``edges``."""
+    return Graph.from_edges(
+        [(str(u), str(v)) for u, v in edges], extra_nodes=[str(v) for v in range(n)]
+    )
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     """Erdos-Renyi style simple graph on ``n`` labeled nodes."""
-    edges = [
-        (str(u), str(v))
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
-    return Graph.from_edges(edges, extra_nodes=[str(v) for v in range(n)])
+    return labeled_graph(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    )
 
 
 def random_partition(rng: random.Random, n: int, k: int) -> list[int]:

@@ -65,63 +65,97 @@ def test_detect_skip_modmax_flag(capsys, tmp_path, walkthrough_path):
         assert stdout.split("\t")[2] == k, flags
 
 
-def test_detect_missing_input_exits_2(capsys, tmp_path):
-    code, _, stderr = run_cli(
-        capsys,
-        "detect",
-        "--input", str(tmp_path / "nope.txt"),
-        "--method", "ins",
-        "--output", str(tmp_path / "o.tsv"),
-    )
-    assert code == 2
-    assert "error:" in stderr
-
-
-def test_detect_unknown_start_exits_2(capsys, tmp_path, walkthrough_path):
-    code, _, stderr = run_cli(
-        capsys,
-        "detect",
-        "--input", str(walkthrough_path),
-        "--method", "ins",
-        "--start", "ZZ",
-        "--output", str(tmp_path / "o.tsv"),
-    )
-    assert code == 2
-    assert "start node" in stderr
-
-
-def test_detect_malformed_input_exits_2(capsys, tmp_path):
+# (id, command line, message): the command exits 2, prints nothing on stdout
+# and only "error: <message>" on stderr.  The test writes the files it reads.
+USAGE_ERRORS = [
+    ("detect-missing-input", "detect --input nope.txt --method ins --output o.tsv",
+     "cannot read input nope.txt: [Errno 2] No such file or directory: 'nope.txt'"),
+    ("detect-unknown-start", "detect --input g.txt --method ins --start ZZ --output o.tsv",
+     "start node 'ZZ' not present in the graph"),
+    ("detect-malformed-line", "detect --input malformed.txt --method ins --output o.tsv",
+     "cannot parse malformed.txt: line 1: expected 2 tokens, found 3: 'a b c'"),
     # A label starting with "#" is malformed: the cover file would write it
     # at the start of a line, where it reads as a comment.
-    for text, message in (
-        ("a b c\n", "line 1: expected 2 tokens"),
-        ("a #b\nb c\n", "line 1: a label may not start with '#'"),
-    ):
-        bad = tmp_path / "bad.txt"
-        bad.write_text(text)
-        code, stdout, stderr = run_cli(
-            capsys,
-            "detect",
-            "--input", str(bad),
-            "--method", "ins",
-            "--output", str(tmp_path / "o.tsv"),
-        )
-        assert code == 2
-        assert message in stderr
-        assert stdout == ""
+    ("detect-hash-label", "detect --input hash.txt --method ins --output o.tsv",
+     "cannot parse hash.txt: line 1: a label may not start with '#': 'a #b'"),
+    ("detect-unwritable-output",
+     "detect --input g.txt --method ins --output missing-dir/cover.tsv",
+     "cannot write output missing-dir/cover.tsv: "
+     "[Errno 2] No such file or directory: 'missing-dir/cover.tsv'"),
+    ("eval-unreadable-cover", "eval --input g.txt --cover missing.tsv",
+     "cannot read cover missing.tsv: [Errno 2] No such file or directory: 'missing.tsv'"),
+    ("bench-single-fraction", "bench --input g.txt --fractions 1.0",
+     "need at least two distinct fractions for a linearity fit"),
+    # 0.5 and 0.51 of the 20 edges both sample 10 edges.
+    ("bench-one-edge-count", "bench --input g.txt --fractions 0.5,0.51",
+     "fewer than two distinct edge counts for a linearity fit"),
+    ("bench-bad-fraction", "bench --input g.txt --fractions 0.5,1.5",
+     "fraction must be in (0, 1], got 1.5"),
+    ("bench-bad-fraction-token", "bench --input g.txt --fractions 0.5,x",
+     "bad fraction list '0.5,x'"),
+    ("bench-zero-repeats", "bench --input g.txt --repeats 0", "repeats must be >= 1"),
+    ("bench-out-of-range-threshold", "bench --input g.txt --threshold -1",
+     "threshold must be in [0, 1], got -1.0"),
+    ("sweep-threshold-empty-range", "sweep-threshold --input g.txt --from 0.8 --to 0.4 --step 0.1",
+     "need step > 0 and a non-empty threshold range"),
+    # 0.9 and 0.95 are valid; the sweep must fail before printing them.
+    ("sweep-threshold-range-beyond-one", "sweep-threshold --input g.txt --from 0.9 --to 1.2",
+     "threshold must be in [0, 1], got 1.2"),
+    ("sweep-start-empty-graph", "sweep-start --input empty.txt",
+     "cannot sweep start nodes of an empty graph"),
+    ("sweep-start-zero-sample", "sweep-start --input g.txt --sample 0", "--sample must be >= 1"),
+    ("sweep-start-bad-sample", "sweep-start --input g.txt --sample zero",
+     "--sample must be 'all' or an integer, got 'zero'"),
+    ("sweep-start-out-of-range-threshold", "sweep-start --input g.txt --threshold 1.5",
+     "threshold must be in [0, 1], got 1.5"),
+]
 
 
-def test_detect_unwritable_output_exits_2(capsys, tmp_path, walkthrough_path):
-    out = tmp_path / "missing-dir" / "cover.tsv"
-    code, _, stderr = run_cli(
-        capsys,
-        "detect",
-        "--input", str(walkthrough_path),
-        "--method", "ins",
-        "--output", str(out),
-    )
+@pytest.mark.parametrize(
+    "command,message",
+    [pytest.param(command, message, id=name) for name, command, message in USAGE_ERRORS],
+)
+def test_usage_error_exits_2(capsys, tmp_path, monkeypatch, command, message):
+    check_usage_error(capsys, tmp_path, monkeypatch, command, message)
+
+
+def check_usage_error(capsys, tmp_path, monkeypatch, command, message):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(DATA_DIR / "walkthrough13.txt", tmp_path / "g.txt")
+    (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "malformed.txt").write_text("a b c\n")
+    (tmp_path / "hash.txt").write_text("a #b\nb c\n")
+    code, stdout, stderr = run_cli(capsys, *command.split())
     assert code == 2
-    assert "cannot write output" in stderr
+    assert stderr == f"error: {message}\n"
+    assert stdout == ""
+
+
+# The next two are rows of the same shape, one per option or step.
+@pytest.mark.parametrize("option", ["--from", "--to", "--step"])
+def test_sweep_threshold_rejects_nan(capsys, tmp_path, monkeypatch, option):
+    check_usage_error(
+        capsys, tmp_path, monkeypatch,
+        f"sweep-threshold --input g.txt {option} nan",
+        "need step > 0 and a non-empty threshold range",
+    )
+
+
+# 0.4 + 1e-20 == 0.4, and 0.85 + 3e-17 == 0.85.  Thresholds are rounded to
+# 10 decimals, so a step below 1e-10 would run some of them twice.
+@pytest.mark.parametrize(
+    "step,bounds,top",
+    [("1e-20", "", "0.85"), ("3e-17", "", "0.85"), ("1e-11", " --from 0.7 --to 0.7000000003", "0.7")],
+    ids=["1e-20", "3e-17", "1e-11"],
+)
+def test_sweep_threshold_rejects_step_that_cannot_advance(
+    capsys, tmp_path, monkeypatch, step, bounds, top
+):
+    check_usage_error(
+        capsys, tmp_path, monkeypatch,
+        f"sweep-threshold --input g.txt --step {step}{bounds}",
+        f"step {step} cannot advance the threshold up to {top}",
+    )
 
 
 @pytest.mark.parametrize(
@@ -330,64 +364,6 @@ def test_bench_full_phase_times_detect_only(capsys, monkeypatch, walkthrough_pat
     assert all(float(row[5]) < 300.0 for row in rows)
 
 
-def test_bench_rejects_single_fraction(capsys, walkthrough_path):
-    code, _, stderr = run_cli(
-        capsys, "bench", "--input", str(walkthrough_path), "--fractions", "1.0"
-    )
-    assert code == 2
-    assert "two distinct fractions" in stderr
-
-
-def test_bench_rejects_fractions_with_one_edge_count(capsys, walkthrough_path):
-    # 0.5 and 0.51 of the 20 edges both sample 10 edges.
-    code, stdout, stderr = run_cli(
-        capsys, "bench", "--input", str(walkthrough_path), "--fractions", "0.5,0.51"
-    )
-    assert code == 2
-    assert "fewer than two distinct edge counts" in stderr
-    assert stdout == ""
-
-
-def test_bench_rejects_bad_fraction(capsys, walkthrough_path):
-    code, stdout, stderr = run_cli(
-        capsys, "bench", "--input", str(walkthrough_path), "--fractions", "0.5,1.5"
-    )
-    assert code == 2
-    assert "(0, 1]" in stderr
-    assert stdout == ""
-
-
-@pytest.mark.parametrize(
-    "argv,message",
-    [
-        (["eval", "--input", "g.txt", "--cover", "missing.tsv"], "cannot read cover missing.tsv"),
-        (["bench", "--input", "g.txt", "--fractions", "0.5,x"], "bad fraction list '0.5,x'"),
-        (["bench", "--input", "g.txt", "--repeats", "0"], "repeats must be >= 1"),
-        (["sweep-start", "--input", "empty.txt"], "cannot sweep start nodes of an empty graph"),
-        (["sweep-start", "--input", "g.txt", "--sample", "0"], "--sample must be >= 1"),
-    ],
-    ids=["eval-unreadable-cover", "bench-bad-fraction-token", "bench-zero-repeats",
-         "sweep-start-empty-graph", "sweep-start-zero-sample"],
-)
-def test_usage_error_exits_2(capsys, tmp_path, monkeypatch, argv, message):
-    monkeypatch.chdir(tmp_path)
-    shutil.copy(DATA_DIR / "walkthrough13.txt", tmp_path / "g.txt")
-    (tmp_path / "empty.txt").write_text("")
-    code, stdout, stderr = run_cli(capsys, *argv)
-    assert code == 2
-    assert message in stderr
-    assert stdout == ""
-
-
-def test_bench_rejects_out_of_range_threshold(capsys, walkthrough_path):
-    code, stdout, stderr = run_cli(
-        capsys, "bench", "--input", str(walkthrough_path), "--threshold", "-1"
-    )
-    assert code == 2
-    assert "error: threshold must be in [0, 1]" in stderr
-    assert stdout == ""
-
-
 def test_sweep_threshold_csv(capsys, walkthrough_path):
     code, stdout, _ = run_cli(
         capsys,
@@ -434,58 +410,6 @@ def test_sweep_threshold_runs_each_threshold_once(capsys, walkthrough_path):
     assert rs == ["0.70", "0.7000000001", "0.7000000002", "0.7000000003"]
 
 
-def test_sweep_threshold_rejects_empty_range(capsys, walkthrough_path):
-    code, _, _ = run_cli(
-        capsys,
-        "sweep-threshold",
-        "--input", str(walkthrough_path),
-        "--from", "0.8",
-        "--to", "0.4",
-        "--step", "0.1",
-    )
-    assert code == 2
-
-
-@pytest.mark.parametrize("option", ["--from", "--to", "--step"])
-def test_sweep_threshold_rejects_nan(capsys, walkthrough_path, option):
-    code, stdout, stderr = run_cli(
-        capsys, "sweep-threshold", "--input", str(walkthrough_path), option, "nan"
-    )
-    assert code == 2
-    assert "error: need step > 0 and a non-empty threshold range" in stderr
-    assert stdout == ""
-
-
-def test_sweep_threshold_rejects_range_beyond_one(capsys, walkthrough_path):
-    # 0.9 and 0.95 are valid; the sweep must fail before printing them.
-    code, stdout, stderr = run_cli(
-        capsys,
-        "sweep-threshold",
-        "--input", str(walkthrough_path),
-        "--from", "0.9",
-        "--to", "1.2",
-    )
-    assert code == 2
-    assert "error: threshold must be in [0, 1]" in stderr
-    assert stdout == ""
-
-
-@pytest.mark.parametrize(
-    "step,bounds",
-    [("1e-20", []), ("3e-17", []), ("1e-11", ["--from", "0.7", "--to", "0.7000000003"])],
-    ids=["1e-20", "3e-17", "1e-11"],
-)
-def test_sweep_threshold_rejects_step_that_cannot_advance(capsys, walkthrough_path, step, bounds):
-    # 0.4 + 1e-20 == 0.4, and 0.85 + 3e-17 == 0.85.  Thresholds are rounded
-    # to 10 decimals, so a step below 1e-10 would run some of them twice.
-    code, stdout, stderr = run_cli(
-        capsys, "sweep-threshold", "--input", str(walkthrough_path), "--step", step, *bounds
-    )
-    assert code == 2
-    assert "cannot advance the threshold" in stderr
-    assert stdout == ""
-
-
 def test_sweep_start_all_nodes(capsys, walkthrough_path):
     code, stdout, stderr = run_cli(
         capsys,
@@ -526,22 +450,6 @@ def test_sweep_start_sample_of_at_least_n_runs_every_node(capsys, walkthrough_pa
     ]
     assert outputs[0][0] == 0
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-
-
-def test_sweep_start_rejects_bad_sample(capsys, walkthrough_path):
-    code, _, _ = run_cli(
-        capsys, "sweep-start", "--input", str(walkthrough_path), "--sample", "zero"
-    )
-    assert code == 2
-
-
-def test_sweep_start_rejects_out_of_range_threshold(capsys, walkthrough_path):
-    code, stdout, stderr = run_cli(
-        capsys, "sweep-start", "--input", str(walkthrough_path), "--threshold", "1.5"
-    )
-    assert code == 2
-    assert "error: threshold must be in [0, 1]" in stderr
-    assert stdout == ""
 
 
 def test_unknown_subcommand_exits_2(capsys):

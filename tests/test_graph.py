@@ -1,14 +1,13 @@
 """Edge-list ingestion, graph queries and sampling."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
 from commspread import Cover, Graph, GraphParseError, modularity
 
-from conftest import graph, load_dataset, random_graph
-from oracles import edges, strength, weighted_graph
+from conftest import graph, load_dataset
+from oracles import edges, weighted_graph
 
 
 def test_basic_parse():
@@ -109,14 +108,3 @@ def test_weighted_graph_modularity_counts_self_loops_in_strength():
     assert g.self_loops[0] == 4.0
     assert (g.adj[1], g.weights[1]) == ([0, 2], [2.0, 0.5])
     assert g.sample_edges(1.0, seed=0) == g  # weights and self-loops kept
-
-
-def test_unweighted_invariants_random():
-    rng = random.Random(0)
-    for _ in range(20):
-        g = random_graph(rng, rng.randrange(1, 15), rng.random())
-        assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
-        assert sum(strength(g, v) for v in range(g.n)) == 2 * g.m
-        for v in range(g.n):
-            assert g.adj[v] == sorted(g.adj[v])
-            assert v not in g.adj[v]
