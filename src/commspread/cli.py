@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import math
 import os
 import random
@@ -126,16 +127,45 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _linear_fit(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
-    """Least-squares slope, intercept and R^2 (1.0 when ``ys`` is constant)."""
-    slope, intercept = statistics.linear_regression(xs, ys)
-    r2 = statistics.correlation(xs, ys) ** 2 if len(set(ys)) > 1 else 1.0
-    return slope, intercept, r2
+def _edge_samples(g: Graph, fractions, seed: int) -> list[Graph]:
+    """Every fraction's ``sample_edges`` copy of ``g``, 1.0 included (README, ``bench``)."""
+    try:
+        samples = [g.sample_edges(fraction, seed) for fraction in fractions]
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    if len({sample.m for sample in samples}) < 2:
+        raise CliError("fewer than two distinct edge counts for a linearity fit")
+    return samples
+
+
+def _time_samples(samples: list[Graph], run, cfg: RunConfig, rounds: int):
+    """Times ``run(sample, cfg)`` on every sample once per round, back to back,
+    for ``rounds`` rounds (README, ``bench``).  Returns ``times[r][i]`` in ms,
+    each sample's last result and the fit against edge count of each median
+    round share times the median round total: slope and intercept in ms, R^2."""
+    times = []
+    gc.disable()
+    try:
+        for _ in range(rounds):
+            results, row = [], []
+            for sample in samples:
+                t0 = time.perf_counter()
+                results.append(run(sample, cfg))
+                row.append((time.perf_counter() - t0) * 1000.0)
+            times.append(row)
+    finally:
+        gc.enable()
+    xs = [sample.m for sample in samples]
+    totals = [sum(row) for row in times]
+    shares = [statistics.median(t / total for t, total in zip(col, totals)) for col in zip(*times)]
+    scale = statistics.median(totals)
+    slope, intercept = statistics.linear_regression(xs, [share * scale for share in shares])
+    r2 = statistics.correlation(xs, shares) ** 2 if len(set(shares)) > 1 else 1.0
+    return times, results, (slope, intercept, r2)
 
 
 def cmd_bench(args) -> int:
     cfg = _run_config(method=args.method, threshold=args.threshold)
-    g = _load_graph(args.input)
     try:
         fractions = [float(tok) for tok in args.fractions.split(",") if tok]
     except ValueError as exc:
@@ -144,36 +174,20 @@ def cmd_bench(args) -> int:
         raise CliError("need at least two distinct fractions for a linearity fit")
     if args.repeats < 1:
         raise CliError("repeats must be >= 1")
-    try:
-        samples = [g if f == 1.0 else g.sample_edges(f, args.seed) for f in fractions]
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    if len({sample.m for sample in samples}) < 2:
-        raise CliError("fewer than two distinct edge counts for a linearity fit")
-
+    samples = _edge_samples(_load_graph(args.input), fractions, args.seed)
+    full = args.phase == "full"
+    times, results, (slope, intercept, r2) = _time_samples(
+        samples, detect if full else run_traversal, cfg, args.repeats
+    )
+    quality = [
+        (f"{modularity(sample, result.cover):.6f}", result.cover.k) if full else ("", 0)
+        for sample, result in zip(samples, results)
+    ]
     dataset = os.path.splitext(os.path.basename(args.input))[0]
     print("dataset,fraction,method,phase,run,time_ms,Q,k")
-    medians: list[tuple[int, float]] = []
-    for fraction, sample in zip(fractions, samples):
-        times = []
-        for run in range(args.repeats):
-            t0 = time.perf_counter()
-            if args.phase == "traversal":
-                run_traversal(sample, cfg)
-                ms = (time.perf_counter() - t0) * 1000.0
-                q_text, k = "", 0
-            else:
-                result = detect(sample, cfg)
-                ms = (time.perf_counter() - t0) * 1000.0
-                q_text, k = f"{modularity(sample, result.cover):.6f}", result.cover.k
-            times.append(ms)
-            print(
-                f"{dataset},{fraction},{args.method},{args.phase},{run},{ms:.3f},{q_text},{k}"
-            )
-        medians.append((sample.m, statistics.median_high(times)))
-    xs = [float(m) for m, _ in medians]
-    ys = [t for _, t in medians]
-    slope, intercept, r2 = _linear_fit(xs, ys)
+    for r, row in enumerate(times):
+        for fraction, ms, (q_text, k) in zip(fractions, row, quality):
+            print(f"{dataset},{fraction},{args.method},{args.phase},{r},{ms:.3f},{q_text},{k}")
     print(f"fit slope_ms_per_edge={slope:.6g} intercept_ms={intercept:.6g} r2={r2:.4f}", file=sys.stderr)
     return 0
 

@@ -32,6 +32,7 @@ class RunConfig:
     ``method`` is ``"ins"`` or ``"cond"``.  ``threshold`` applies to the ins
     method only.  ``start`` overrides the default lowest-degree starting node
     (ties broken by smallest internal id).  The traversal is deterministic.
+    ``run_modmax=False`` makes ``detect`` skip maximization (``--skip-modmax``).
     """
 
     method: str = "ins"

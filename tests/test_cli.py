@@ -94,6 +94,7 @@ USAGE_ERRORS = [
     ("bench-bad-fraction-token", "bench --input g.txt --fractions 0.5,x",
      "bad fraction list '0.5,x'"),
     ("bench-zero-repeats", "bench --input g.txt --repeats 0", "repeats must be >= 1"),
+    ("bench-repeats-before-load", "bench --input nope.txt --repeats 0", "repeats must be >= 1"),
     ("bench-out-of-range-threshold", "bench --input g.txt --threshold -1",
      "threshold must be in [0, 1], got -1.0"),
     ("sweep-threshold-empty-range", "sweep-threshold --input g.txt --from 0.8 --to 0.4 --step 0.1",
@@ -310,7 +311,11 @@ def test_detect_then_eval_on_empty_graph(capsys, tmp_path):
     assert stdout.splitlines()[:2] == ["Q\t0.000", "k\t0"]
 
 
-def test_bench_csv_shape(capsys, walkthrough_path):
+def test_bench_csv_shape(capsys, monkeypatch, walkthrough_path):
+    loaded, timed = [], []
+    load, traverse = cli._load_graph, cli.run_traversal
+    monkeypatch.setattr(cli, "_load_graph", lambda path: loaded.append(load(path)) or loaded[-1])
+    monkeypatch.setattr(cli, "run_traversal", lambda g, cfg: timed.append(g) or traverse(g, cfg))
     code, stdout, stderr = run_cli(
         capsys,
         "bench",
@@ -324,6 +329,9 @@ def test_bench_csv_shape(capsys, walkthrough_path):
     assert lines[0] == "dataset,fraction,method,phase,run,time_ms,Q,k"
     assert len(lines) == 1 + 2 * 3
     assert lines[1].startswith("walkthrough13,0.5,ins,traversal,0,")
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(row[1], row[4]) for row in rows] == [(f, str(r)) for r in range(3) for f in ("0.5", "1.0")]
+    assert len(timed) == 6 and not any(g is loaded[0] for g in timed)
     assert "fit slope_ms_per_edge=" in stderr and "r2=" in stderr
 
 
