@@ -71,8 +71,10 @@ def write_cover_file(g: Graph, cover: Cover, stream: IO) -> None:
     """Write ``external_label<TAB>community_id`` lines sorted by node label."""
     if UNASSIGNED in cover.assignment:
         raise ValueError("cannot serialize a cover with unassigned nodes")
-    for label, c in sorted(zip(g.labels, cover.assignment)):
-        stream.write(f"{label}\t{c}\n")
+    labels, assignment = g.labels, cover.assignment
+    # Labels are distinct, so ordering the ids by label alone orders the lines.
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    stream.write("".join([f"{labels[v]}\t{assignment[v]}\n" for v in order]))
 
 
 def read_cover_file(g: Graph, stream: Iterable[str]) -> Cover:

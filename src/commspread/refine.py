@@ -4,9 +4,11 @@ greedy modularity maximization."""
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter, _count_elements, deque
+from collections import Counter, _count_elements, defaultdict
 from dataclasses import dataclass
+from itertools import chain, compress
 from math import inf
+from typing import Iterable
 
 from .cover import UNASSIGNED, Cover
 from .graph import Graph
@@ -36,22 +38,24 @@ def post_process(g: Graph, cover: Cover, node_type: list[NodeType]) -> Cover:
     size = Counter(labels)
     BROKER, COMMUNITY = NodeType.BROKER, NodeType.COMMUNITY
     eligible = {c for c, t in zip(labels, node_type) if t == COMMUNITY}
+    # Each node's label if that community is eligible, else UNASSIGNED.
+    eligible_of = [c if c in eligible else UNASSIGNED for c in labels]
     assignment = list(labels)
     adj = g.adj
-    label_of = labels.__getitem__
+    eligible_label = eligible_of.__getitem__
     for v, t in enumerate(node_type):
-        if t != BROKER or labels[v] in eligible:
+        if t != BROKER or eligible_of[v] != UNASSIGNED:
             continue  # community nodes and seeding brokers keep their label
         hits: dict[int, int] = {}
-        _count_elements(hits, map(label_of, adj[v]))
+        _count_elements(hits, map(eligible_label, adj[v]))
+        hits.pop(UNASSIGNED, None)
         best, top, ties = UNASSIGNED, 0.0, 0
         for c, h in hits.items():
-            if c in eligible:
-                p = h / size[c]
-                if p > top:
-                    best, top, ties = c, p, 1
-                elif p == top:
-                    ties += 1
+            p = h / size[c]
+            if p > top:
+                best, top, ties = c, p, 1
+            elif p == top:
+                ties += 1
         assignment[v] = best if ties == 1 else UNASSIGNED
     return Cover(assignment)
 
@@ -143,10 +147,37 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
     new community join the queue unless already queued.  A move also changes
     a community total, which affects vertices that are not neighbors, so
     when the queue empties after a move it is refilled with ``0..n-1``: the
-    level ends only after a full pass in which no vertex moved.
+    level ends only after a full pass in which no vertex moved.  Each pass
+    is an ascending scan of ``0..n-1`` followed by a tail, the list of the
+    vertices that its moves queue, iterated while it grows.
 
-    A popped ``v`` is skipped while a certificate proves it would stay, so
-    the moves are those of evaluating every popped vertex.  ``moved``
+    A popped vertex is skipped when it is unmarked or while its certificate
+    holds.  Each test proves that it would stay, so the moves are those of
+    evaluating every popped vertex.
+
+    Marks.  The first refill marks every vertex, a pop clears its mark, and
+    from then on a move of ``y`` from community ``A`` to ``B`` marks (a)
+    every neighbor of ``y``, whose weights to ``A`` and ``B`` changed; (b)
+    every member of ``B``, ``y`` included, whose stay term fell as the total
+    of ``B`` grew; (c) every vertex outside ``A`` adjacent to a member of
+    ``A``, whose gain for joining ``A`` rose as its total fell.  Any other
+    vertex sees only its stay term rise or an alternative's total grow.
+    Float subtraction and multiplication are monotone, so an unmarked
+    vertex, which stayed or was proven to stay at its last pop, would stay
+    again.  A refill pass therefore scans ``compress(range(n), dirty)``
+    instead of ``0..n-1``.  The scan reads each mark only when it reaches
+    it, so a vertex marked ahead of the scan is popped at its ascending
+    position and one marked behind it waits for the next refill: the pops
+    are those of the full pass, in the same order, less unmarked vertices.
+    A vertex ahead of the scan is still to be popped, so a move resets its
+    certificate as it would a queued vertex's and does not append it to the
+    tail.  Every tail vertex was marked by (a) when a move appended it.
+
+    The first pass pays for no marks and tests no certificate: each vertex
+    in it is popped for the first time, or again after a move queued it and
+    reset its certificate.
+
+    Certificate.  It bounds the drift since ``v`` last stayed.  ``moved``
     counts the strength moved, exactly, in units of ``w2 / 2**40``: a move
     of strength ``s`` adds ``int(s * 2**40 / w2) + 2``, over ``s`` and a
     unit.  When ``v`` stays with margin ``M`` over its best alternative,
@@ -184,57 +215,95 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
     # reduced gains k_{v,c} - s_v tot_c / w2 (totals exclude v), so the
     # tolerance on Q is MOVE_TOLERANCE * w2 / 2 on that scale.
     tolerance = MOVE_TOLERANCE * w2 / 2.0
-    queue = deque(range(n))
-    queued = [True] * n
     moved = refilled_at = 0
     expires: list[float] = [-1] * n  # -1: evaluate when popped
+    # queued[u]: u waits to be popped in this pass.  The first pass starts
+    # with every flag set; a refill pass flags only its tail, and every
+    # u > pos, ahead of the scan, counts as queued.
+    queued = [True] * n
+    scan: Iterable[int] = range(n)
+    tail: list[int] = []
+    pos = n
+    # Set at the first refill: the marks and each community's members.
+    dirty: bytearray | None = None
+    members: defaultdict[int, list[int]] = defaultdict(list)
     # On a unit-weight level the weight to a community is its neighbor
     # count, counted at C speed; integer counts convert to float exactly,
     # so every gain and tie is the one the weighted sum would give.
     unit = all(ws.count(1.0) == len(ws) for ws in weights)
     label_of = partition.__getitem__
-    while queue or moved != refilled_at:
-        if not queue:
-            refilled_at = moved
-            queue.extend(range(n))
-            queued = [True] * n
-        v = queue.popleft()
-        queued[v] = False
-        if moved < expires[v]:
-            continue
-        cur = partition[v]
-        weight_to: dict[int, float] = {}
-        if unit:
-            _count_elements(weight_to, map(label_of, adj[v]))
-        else:
-            for u, w in zip(adj[v], weights[v]):
-                c = partition[u]
-                weight_to[c] = weight_to.get(c, 0.0) + w
-        s_v = strength[v]
-        s_frac = s_v / w2
-        stay = weight_to.pop(cur, 0.0) - (tot[cur] - s_v) * s_frac
-        best_c, best_gain = cur, -inf
-        for c, k in weight_to.items():
-            gain = k - tot[c] * s_frac
-            if gain > best_gain or (gain == best_gain and c < best_c):
-                best_c, best_gain = c, gain
-        if best_gain - stay > tolerance:
-            partition[v] = best_c
-            tot[cur] -= s_v
-            tot[best_c] += s_v
-            moved += int(s_v * 2.0**40 / w2) + 2
-            for u in adj[v]:
-                if queued[u]:
-                    expires[u] = -1
-                elif partition[u] != best_c:
-                    expires[u] = -1
-                    queued[u] = True
-                    queue.append(u)
-        elif weight_to and s_v:
-            expires[v] = moved + int((stay - best_gain) * 2.0**39 / s_v)
-        else:
-            expires[v] = inf
-    return partition
+    while True:
+        for v in chain(scan, tail):
+            queued[v] = False
+            if dirty is not None:
+                # The scan ascends and the tail's first vertex lies behind
+                # its last, so the first descent ends the scan.
+                pos = v if v > pos else n
+                dirty[v] = 0
+                if moved < expires[v]:
+                    continue
+            cur = partition[v]
+            weight_to: dict[int, float] = {}
+            if unit:
+                _count_elements(weight_to, map(label_of, adj[v]))
+            else:
+                for u, w in zip(adj[v], weights[v]):
+                    c = partition[u]
+                    weight_to[c] = weight_to.get(c, 0.0) + w
+            s_v = strength[v]
+            s_frac = s_v / w2
+            stay = weight_to.pop(cur, 0.0) - (tot[cur] - s_v) * s_frac
+            best_c, best_gain = cur, -inf
+            for c, k in weight_to.items():
+                gain = k - tot[c] * s_frac
+                if gain > best_gain or (gain == best_gain and c < best_c):
+                    best_c, best_gain = c, gain
+            if best_gain - stay > tolerance:
+                partition[v] = best_c
+                tot[cur] -= s_v
+                tot[best_c] += s_v
+                moved += int(s_v * 2.0**40 / w2) + 2
+                if dirty is None:
+                    for u in adj[v]:
+                        if queued[u]:
+                            expires[u] = -1
+                        elif partition[u] != best_c:
+                            expires[u] = -1
+                            queued[u] = True
+                            tail.append(u)
+                else:
+                    for u in adj[v]:
+                        dirty[u] = 1  # (a)
+                        if u > pos or queued[u]:
+                            expires[u] = -1
+                        elif partition[u] != best_c:
+                            expires[u] = -1
+                            queued[u] = True
+                            tail.append(u)
+                    joined = members[best_c]
+                    joined.append(v)
+                    for u in joined:  # (b)
+                        dirty[u] = 1
+                    left = members[cur]
+                    left.remove(v)
+                    for x in left:  # (c)
+                        for u in adj[x]:
+                            if partition[u] != cur:
+                                dirty[u] = 1
+            elif weight_to and s_v:
+                expires[v] = moved + int((stay - best_gain) * 2.0**39 / s_v)
+            else:
+                expires[v] = inf
+        if moved == refilled_at:
+            return partition
+        refilled_at = moved
+        if dirty is None:
+            dirty = bytearray(b"\x01") * n
+            for u, c in enumerate(partition):
+                members[c].append(u)
+        scan = compress(range(n), dirty)
+        tail = []
+        pos = -1
 
 
 def refine_cover(g: Graph, cover: Cover) -> Cover:

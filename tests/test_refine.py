@@ -162,9 +162,10 @@ def test_local_moves_end_on_a_full_pass_without_moves():
             assert delta_modularity(g, partition, v, c) <= MOVE_TOLERANCE
 
 
-# One graph per clause of the stay certificate that sends a vertex back to
-# evaluation: each partition is the full-pass oracle's, and dropping the
-# clause changes it.
+# One graph per clause of the stay certificate and of the marks that sends
+# a vertex back to evaluation, and one for the pop order of a refill pass:
+# each partition is the full-pass oracle's, and dropping the clause changes
+# it.
 
 
 def test_closing_pass_revisits_neighbors_of_a_moved_vertex():
@@ -205,6 +206,29 @@ def test_closing_pass_revisits_vertices_next_to_the_left_community():
     assert _local_moves(g) == local_moves(g) == [3, 3, 3, 5, 6, 5, 6]
 
 
+def test_closing_pass_revisits_unmarked_neighbors_ahead_of_the_scan():
+    # 3 stays in the first closing pass, and no later move in that pass
+    # touches it, so the second closing pass starts with 3 unmarked.  Then
+    # 0 leaves community 3 = {0, 3} for community 2.  3 is a neighbor of 0
+    # ahead of the scan, so the move must mark it, and 3 joins community 5
+    # at its place in the scan.
+    g = numbered(7, [(0, 2), (0, 3), (0, 6), (1, 2), (1, 5), (2, 6), (3, 5), (4, 5), (4, 6)])
+    assert _local_moves(g) == local_moves(g) == [2, 5, 2, 5, 5, 5, 2]
+
+
+def test_closing_pass_pops_a_neighbor_ahead_of_the_scan_once():
+    # First closing pass: 4 leaves community 6 for 5.  Its neighbor 6 is
+    # ahead of the scan and so already queued: it moves to 7 at its place
+    # in the scan and must not join the tail as well.  The tail then starts
+    # with 0, which follows 6 into 7; popping 6 first would move it back.
+    g = numbered(
+        9,
+        [(0, 6), (1, 2), (1, 6), (1, 7), (1, 8), (2, 5), (2, 6), (2, 8), (3, 5), (3, 7)]
+        + [(4, 5), (4, 6), (6, 7), (6, 8)],
+    )
+    assert _local_moves(g) == local_moves(g) == [7, 7, 7, 5, 5, 5, 7, 5, 7]
+
+
 def test_certificates_skip_vertices_that_stay(monkeypatch):
     # Each evaluation on a unit-weight level counts its neighbor labels
     # once.  The initial queue makes 3385 evaluations here and the one
@@ -223,6 +247,32 @@ def test_certificates_skip_vertices_that_stay(monkeypatch):
     monkeypatch.setattr(refine, "_count_elements", counting)
     assert _local_moves(g) == local_moves(g)
     assert evaluations < 4385
+
+
+def test_marks_confine_refill_passes_to_changed_vertices(monkeypatch):
+    # Louvain's level 0 on a sparse G(n, 4.4 n), built like criterion 7's
+    # graph: most vertices stay by a hair, so a few moves anywhere expire
+    # most certificates.  Refill passes that pop every vertex made 30,677
+    # evaluations here; popping only the vertices that a move marked makes
+    # 15,449.
+    rng = random.Random(1)
+    n, m = 3000, 13_200
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    g = weighted_graph(dict.fromkeys(edges, 1.0), [0.0] * n)
+    evaluations = 0
+
+    def counting(mapping, iterable):
+        nonlocal evaluations
+        evaluations += 1
+        _count_elements(mapping, iterable)
+
+    monkeypatch.setattr(refine, "_count_elements", counting)
+    assert _local_moves(g) == local_moves(g)
+    assert evaluations <= 16_000
 
 
 def test_maximize_modularity_splits_two_cliques():
