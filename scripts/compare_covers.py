@@ -26,10 +26,12 @@ closing passes: a G(n, m) graph with m ≈ 4.4 n and a planted partition
 of 40 groups.  On a seeded copy of each of these two with fractional
 weights and self-loops down to 1e-6, where every float sum depends on its
 order, it also digests ``_local_moves`` from singletons and from a seeded
-cover.  Every difference
-is printed, a differing cover with its old -> new Q, and the last line
-counts the differing covers whose Q rose and fell and gives the largest
-fall.  The exit status is 1 if anything differs, else 0.  If a digest run
+cover.  It does the same on the contraction of each of the two graphs
+themselves by their own ``_local_moves`` partition: integral weights, few
+of them above 1.0 on the G(n, m) graph and most on the planted one.  Every
+difference is printed, a differing cover with its old -> new Q, and the
+last line counts the differing covers whose Q rose and fell and gives the
+largest fall.  The exit status is 1 if anything differs, else 0.  If a digest run
 fails, its stderr is printed, with which tree failed, and the exit status
 is 1.
 
@@ -224,6 +226,12 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
             for start, initial in (("singletons", None), ("seeded", seeded)):
                 partition = _local_moves(level, initial)
                 out[f"{name}/fractional-moves-{start}"] = (sha(json.dumps(partition)), None)
+            level = reduce_graph(g, Cover(_local_moves(g))).graph
+            rng = random.Random(f"{name}/level1")
+            seeded = Cover(seeded_cover(rng, level.n)).with_singletons().assignment
+            for start, initial in (("singletons", None), ("seeded", seeded)):
+                partition = _local_moves(level, initial)
+                out[f"{name}/level1-moves-{start}"] = (sha(json.dumps(partition)), None)
         rng = random.Random(name)
         k = rng.randrange(1, g.n + 1) if g.n else 1
         stats = cover_stats(g, Cover([rng.randrange(k) for _ in range(g.n)]))

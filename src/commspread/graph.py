@@ -88,10 +88,12 @@ class Graph:
 
         Duplicate edges collapse to one and self-loops are dropped; both are
         counted in the load report.  Internal ids follow first appearance.
-        Each edge is appended to both endpoints' lists as it is read; the
-        lists are then sorted and deduplicated, and a repeated edge shrinks
-        each of its two endpoints' lists by one.  Nodes of equal degree share
-        one unit-weight row, so the rows hold at most 2m entries in all.
+        Each edge is appended to both endpoints' lists as it is read.  Each
+        list is then replaced by a sorted copy of exact size, and only a
+        list that repeats a neighbor is deduplicated: a repeated edge
+        shrinks each of its two endpoints' lists by one.  Nodes of equal
+        degree share one unit-weight row, so the rows hold at most 2m
+        entries in all.
         """
         index: dict[str, int] = {}
         adj: list[list[int]] = []
@@ -118,8 +120,11 @@ class Graph:
         shrinkage = 0
         degrees: list[int] = []
         for u, nbrs in enumerate(adj):
-            unique = adj[u] = sorted(set(nbrs))
-            shrinkage += len(nbrs) - len(unique)
+            ordered = adj[u] = sorted(nbrs)
+            unique = set(ordered)
+            if len(unique) != len(ordered):
+                adj[u] = sorted(unique)
+                shrinkage += len(ordered) - len(unique)
             degrees.append(len(unique))
         rows = {d: [1.0] * d for d in set(degrees)}
         weights = list(map(rows.__getitem__, degrees))

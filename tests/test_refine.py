@@ -31,6 +31,18 @@ def cover_by_label(g: Graph, labels: dict[str, int]) -> Cover:
     return Cover([labels[lab] for lab in g.labels])
 
 
+def sparse_gnm() -> Graph:
+    """A seeded G(n, m) with n = 3000 and m = 4.4 n, built like criterion 7's graph."""
+    rng = random.Random(1)
+    n, m = 3000, 13_200
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return weighted_graph(dict.fromkeys(edges, 1.0), [0.0] * n)
+
+
 def test_initial_cover_copies_traversal_labels():
     g = graph("a b\nb c\n")
     res = run_traversal(g, RunConfig(threshold=0.5))
@@ -229,6 +241,50 @@ def test_closing_pass_pops_a_neighbor_ahead_of_the_scan_once():
     assert _local_moves(g) == local_moves(g) == [7, 7, 7, 5, 5, 5, 7, 5, 7]
 
 
+def test_closing_pass_revisits_vertices_behind_the_scan_next_to_a_twice_left_community():
+    # First closing pass: 0 leaves community 1 for 8, and the sweep of 1
+    # marks 3, which stays at its place in the scan.  Then 5 also leaves 1
+    # for 8, and this second loss of 1 in the pass waits for the refill.
+    # 3, behind the scan, outside 1 and next to its members 2 and 6, is not
+    # a neighbor of 5, so only the refill's sweep of 1 marks it; the smaller
+    # total of 1 draws 3, and 4 after it, into 1 in the second closing pass.
+    g = numbered(
+        9,
+        [(0, 1), (0, 5), (0, 8), (1, 2), (1, 5), (1, 6), (2, 3), (2, 5), (2, 6), (2, 8)]
+        + [(3, 4), (3, 6), (4, 8), (5, 6), (5, 7), (5, 8), (7, 8)],
+    )
+    assert _local_moves(g) == local_moves(g) == [8, 1, 1, 1, 1, 8, 1, 8, 8]
+
+
+@pytest.fixture(scope="module")
+def gnm_levels() -> list[Graph]:
+    """The input graph of :func:`sparse_gnm` and its first three contractions."""
+    levels = [sparse_gnm()]
+    for _ in range(3):
+        levels.append(reduce_graph(levels[-1], Cover(_local_moves(levels[-1]))).graph)
+    return levels
+
+
+@pytest.mark.parametrize("depth, counted", [(1, True), (3, False)])
+def test_integral_levels_equal_the_full_pass_oracle(gnm_levels, depth, counted):
+    # Level 1 has 0.3 % of its adjacency entries of a weight other than 1.0,
+    # so it counts neighbors and adds their excess weight; level 3 has 86 % and
+    # sums weights in a loop.  Both must move as the oracle's weighted sums
+    # do, from singletons and from a wide cover: n / 4 communities, each
+    # labeled by a member and scattered over the level.
+    level = gnm_levels[depth]
+    entries = sum(map(len, level.weights))
+    heavy = entries - sum(ws.count(1.0) for ws in level.weights)
+    assert (0 < 4 * heavy <= entries) == counted
+    rng = random.Random(3)
+    seeds = rng.sample(range(level.n), level.n // 4)
+    wide = [rng.choice(seeds) for _ in range(level.n)]
+    for s in seeds:
+        wide[s] = s
+    for initial in (None, wide):
+        assert _local_moves(level, initial) == local_moves(level, initial)
+
+
 def test_certificates_skip_vertices_that_stay(monkeypatch):
     # Each evaluation on a unit-weight level counts its neighbor labels
     # once.  The initial queue makes 3385 evaluations here and the one
@@ -255,14 +311,7 @@ def test_marks_confine_refill_passes_to_changed_vertices(monkeypatch):
     # most certificates.  Refill passes that pop every vertex made 30,677
     # evaluations here; popping only the vertices that a move marked makes
     # 15,449.
-    rng = random.Random(1)
-    n, m = 3000, 13_200
-    edges = set()
-    while len(edges) < m:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    g = weighted_graph(dict.fromkeys(edges, 1.0), [0.0] * n)
+    g = sparse_gnm()
     evaluations = 0
 
     def counting(mapping, iterable):
