@@ -35,6 +35,12 @@ largest fall.  The exit status is 1 if anything differs, else 0.  If a digest ru
 fails, its stderr is printed, with which tree failed, and the exit status
 is 1.
 
+Each digest run also counts the calls of ``refine._count_elements``, if
+its tree has that name: one per broker scored by the allocation and one
+per local-move evaluation on a level that counts neighbor labels.  The
+summary prints both trees' totals, a work measure that needs no
+instrumented copy; they do not change the exit status.
+
 REV can reach back to ``7cb54c8``, the first tree whose ``run_traversal``
 takes ``trace``; the digest mode fails on older trees.  The two
 digest processes draw their own string-hash seeds unless ``PYTHONHASHSEED``
@@ -240,8 +246,29 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
     return out
 
 
-def run_tree(src: pathlib.Path, tree: str, graphs: int, seed: int) -> dict[str, list]:
-    """The digests of ``src``; exits with the child's stderr if its run fails."""
+def counted_digests(graphs: int, seed: int) -> dict:
+    """:func:`digests` and the calls of ``refine._count_elements`` they made.
+
+    The count is ``None`` when the tree's ``refine`` has no such name.
+    """
+    from commspread import refine
+
+    calls = None
+    count = getattr(refine, "_count_elements", None)
+    if count is not None:
+        calls = 0
+
+        def counting(mapping, iterable):
+            nonlocal calls
+            calls += 1
+            count(mapping, iterable)
+
+        refine._count_elements = counting
+    return {"digests": digests(graphs, seed), "count_elements": calls}
+
+
+def run_tree(src: pathlib.Path, tree: str, graphs: int, seed: int) -> dict:
+    """:func:`counted_digests` of ``src``; exits with the child's stderr if its run fails."""
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, __file__, "--digest", "--graphs", str(graphs), "--seed", str(seed)],
@@ -263,7 +290,7 @@ def main() -> int:
     parser.add_argument("--digest", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.digest:
-        json.dump(digests(args.graphs, args.seed), sys.stdout)
+        json.dump(counted_digests(args.graphs, args.seed), sys.stdout)
         return 0
     if args.rev is None:
         parser.error("a revision is required")
@@ -276,8 +303,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp)
-        old = run_tree(pathlib.Path(tmp) / "src", args.rev, args.graphs, args.seed)
-    new = run_tree(ROOT / "src", "the working tree", args.graphs, args.seed)
+        old_run = run_tree(pathlib.Path(tmp) / "src", args.rev, args.graphs, args.seed)
+    new_run = run_tree(ROOT / "src", "the working tree", args.graphs, args.seed)
+    old, new = old_run["digests"], new_run["digests"]
 
     missing = ("missing", None)
     pairs = {key: (old.get(key, missing), new.get(key, missing)) for key in old.keys() | new.keys()}
@@ -297,6 +325,10 @@ def main() -> int:
         f"{len(differences)} differ from {args.rev}; of {len(changes)} differing covers "
         f"Q rose on {sum(d > 0 for d in changes)} and fell on {len(falls)}, "
         f"largest fall {max(falls, default=0.0):.6f}"
+    )
+    print(
+        f"refine._count_elements calls: {old_run['count_elements']} at {args.rev}, "
+        f"{new_run['count_elements']} in the working tree"
     )
     return 1 if differences else 0
 

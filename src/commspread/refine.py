@@ -6,7 +6,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter, _count_elements, defaultdict
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from math import inf
 from typing import Iterable
 
@@ -145,10 +145,14 @@ def _excess_weights(g: Graph, w2: float) -> dict[int, list[tuple[int, float]]] |
     """
     weights = g.weights
     entries = sum(map(len, weights))
-    heavy = entries - sum(map(list.count, weights, repeat(1.0)))
+    heavy = 0
+    for ws in weights:
+        heavy += len(ws) - ws.count(1.0)
+        if 4 * heavy > entries:
+            return None
     if not heavy:
         return {}
-    if 4 * heavy > entries or not w2 < 2.0**52:
+    if not w2 < 2.0**52:
         return None
     excess = {}
     for v, (nbrs, ws) in enumerate(zip(g.adj, weights)):
@@ -187,16 +191,16 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
     is an ascending scan of ``0..n-1`` followed by a tail, the list of the
     vertices that its moves queue, iterated while it grows.
 
-    Weights to communities.  A level whose weights are non-negative
+    Weights to communities.  On a level whose weights are non-negative
     integers, with a total below ``2**52`` and at most a quarter of its
-    adjacency entries other than 1.0, counts each neighbor's community at C
-    speed and adds ``w - 1.0`` per such entry (:func:`_excess_weights`).
-    Every partial sum is then an integer below ``2**53``, exact in floats in
-    any order, so every gain and tie is the one of the loop in adjacency
-    order, which the other levels keep.  The cut-off is measured: er-ins
-    super-vertex levels above 300 vertices have 1.4-16 % such entries and
-    count faster; planted ones have 57-100 %, where counting took about
-    twice as long as the loop.
+    adjacency entries other than 1.0, one body counts each neighbor's
+    community at C speed and adds ``w - 1.0`` per such entry, none on a
+    unit level (:func:`_excess_weights`).  Every partial sum is then an
+    integer below ``2**53``, exact in floats in any order, so every gain and
+    tie is the one of the loop in adjacency order, which the other levels
+    keep.  The cut-off is measured: er-ins super-vertex levels above 300
+    vertices have 1.4-16 % such entries and count faster; planted ones have
+    57-100 %, where counting took about twice as long as the loop.
 
     A popped vertex is skipped when it is unmarked or while its certificate
     holds.  Each test proves that it would stay, so the moves are those of
@@ -235,7 +239,8 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
 
     The first pass pays for no marks and tests no certificate: each vertex
     in it is popped for the first time, or again after a move queued it and
-    reset its certificate.
+    reset its certificate.  So a queued vertex, ahead of the scan or in the
+    tail, holds a reset certificate, and a move resets only what it queues.
 
     Certificate.  It bounds the drift since ``v`` last stayed.  ``moved``
     counts the strength moved, exactly, in units of ``w2 / 2**40``: a move
@@ -292,7 +297,6 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
     swept: set[int] = set()
     pending: set[int] = set()
     excess = _excess_weights(g, w2)
-    unit = excess == {}  # every weight is 1.0: nothing to add to the counts
     label_of = partition.__getitem__
     while True:
         for v in chain(scan, tail):
@@ -306,24 +310,22 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
                     continue
             cur = partition[v]
             weight_to: dict[int, float] = {}
-            if unit:
-                _count_elements(weight_to, map(label_of, adj[v]))
-            elif excess is not None:
-                _count_elements(weight_to, map(label_of, adj[v]))
-                if v in excess:
-                    for u, x in excess[v]:
-                        weight_to[partition[u]] += x
-            else:
+            if excess is None:
                 for u, w in zip(adj[v], weights[v]):
                     c = partition[u]
                     weight_to[c] = weight_to.get(c, 0.0) + w
+            else:
+                _count_elements(weight_to, map(label_of, adj[v]))
+                if excess and v in excess:
+                    for u, x in excess[v]:
+                        weight_to[partition[u]] += x
             s_v = strength[v]
             s_frac = s_v / w2
             stay = weight_to.pop(cur, 0.0) - (tot[cur] - s_v) * s_frac
             best_c, best_gain = cur, -inf
             for c, k in weight_to.items():
                 gain = k - tot[c] * s_frac
-                if gain > best_gain or (gain == best_gain and c < best_c):
+                if gain >= best_gain and (gain > best_gain or c < best_c):
                     best_c, best_gain = c, gain
             if best_gain - stay > tolerance:
                 partition[v] = best_c
@@ -332,9 +334,7 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
                 moved += int(s_v * 2.0**40 / w2) + 2
                 if dirty is None:
                     for u in adj[v]:
-                        if queued[u]:
-                            expires[u] = -1
-                        elif partition[u] != best_c:
+                        if not queued[u] and partition[u] != best_c:
                             expires[u] = -1
                             queued[u] = True
                             tail.append(u)
