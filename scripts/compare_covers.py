@@ -28,7 +28,12 @@ weights and self-loops down to 1e-6, where every float sum depends on its
 order, it also digests ``_local_moves`` from singletons and from a seeded
 cover.  It does the same on the contraction of each of the two graphs
 themselves by their own ``_local_moves`` partition: integral weights, few
-of them above 1.0 on the G(n, m) graph and most on the planted one.  Every
+of them above 1.0 on the G(n, m) graph and most on the planted one.
+It digests the ``load_edge_list`` graph of ``LOADER_TEXTS`` seeded
+irregular edge-list texts (comments, blank lines, tabs, CRLF ends,
+reversed duplicates, self-loops and labels with an inner ``#``), with the
+pattern in which its nodes share weight rows, and the ``GraphParseError``
+text of each of them with one or two malformed lines put in.  Every
 difference is printed, a differing cover with its old -> new Q, and the
 last line counts the differing covers whose Q rose and fell and gives the
 largest fall.  The exit status is 1 if anything differs, else 0.  If a digest run
@@ -97,6 +102,30 @@ def random_edges(rng: random.Random) -> tuple[list[tuple[str, str]], list[str]]:
     return [(str(u), str(v)) for u, v in pairs], [str(v) for v in range(n)]
 
 
+LOADER_TEXTS = 40
+LABELS_WITH_HASH = ("a#1", "b#", "x#y#z")
+NOISE_LINES = ("\n", "  \t \n", "# comment\n", "  # a b\n", "#\n", "\t#x y z w\r\n")
+BAD_LINES = ("x\n", "x y z\n", "x #y\n", "a#1\t#\n", "a\tb\tc\r\n")
+
+
+def loader_lines(rng: random.Random) -> list[str]:
+    """The lines of a seeded edge-list text with every irregularity the loader handles."""
+    labels = [str(v) for v in range(rng.randrange(1, 60))] + list(LABELS_WITH_HASH)
+    pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(rng.randrange(200))]
+    pairs += [(b, a) for a, b in rng.sample(pairs, len(pairs) // 5)]
+    pairs += [(a, a) for a in rng.sample(labels, len(labels) // 10)]
+    rng.shuffle(pairs)
+    lines = []
+    for a, b in pairs:
+        if rng.random() < 0.1:
+            lines.append(rng.choice(NOISE_LINES))
+        lead = rng.choice(("", "", " ", "\t"))
+        sep = rng.choice((" ", "\t", " \t ", "   "))
+        end = rng.choice(("\n", "\n", "\r\n", " \n", "\t\r\n"))
+        lines.append(f"{lead}{a}{sep}{b}{end}")
+    return lines
+
+
 MID_SIZE = ("er2000", "planted2000")
 SAMPLE_FRACTIONS = (0.3, 0.7)
 
@@ -163,6 +192,7 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
     from commspread import (
         Cover,
         Graph,
+        GraphParseError,
         RunConfig,
         cover_stats,
         detect,
@@ -196,6 +226,22 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
         cases.append((f"random{i}", Graph.from_edges(edges, extra_nodes=nodes)))
 
     out: dict[str, tuple[str, float | None]] = {}
+    for i in range(LOADER_TEXTS):
+        rng = random.Random(f"loader{i}")
+        lines = loader_lines(rng)
+        g = load_edge_list(io.StringIO("".join(lines)))
+        first_holder: dict[int, int] = {}
+        sharing = [first_holder.setdefault(id(ws), v) for v, ws in enumerate(g.weights)]
+        graph = structure(g) + [g.labels, asdict(g.load_report), sharing]
+        out[f"loader{i}/graph"] = (sha(json.dumps(graph)), None)
+        for _ in range(rng.randrange(1, 3)):
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(BAD_LINES))
+        try:
+            load_edge_list(io.StringIO("".join(lines)))
+            error = "no error"
+        except GraphParseError as exc:
+            error = str(exc)
+        out[f"loader{i}/error"] = (sha(error), None)
     for name, g in cases:
         graph = structure(g) + [g.labels, asdict(g.load_report)]
         out[f"{name}/graph"] = (sha(json.dumps(graph)), None)
@@ -321,7 +367,7 @@ def main() -> int:
     falls = [-d for d in changes if d < 0]
     print(
         f"{len(new)} digests over {len(DATASETS)} datasets, {len(MID_SIZE)} mid-size "
-        f"and {args.graphs} random graphs: "
+        f"and {args.graphs} random graphs and {LOADER_TEXTS} edge-list texts: "
         f"{len(differences)} differ from {args.rev}; of {len(changes)} differing covers "
         f"Q rose on {sum(d > 0 for d in changes)} and fell on {len(falls)}, "
         f"largest fall {max(falls, default=0.0):.6f}"

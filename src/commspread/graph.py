@@ -54,7 +54,7 @@ class Graph:
     def __post_init__(self):
         if self.index is None:
             self.index = {lab: i for i, lab in enumerate(self.labels)}
-        self._m = sum(len(a) for a in self.adj) // 2
+        self._m = sum(map(len, self.adj)) // 2
 
     # -- basic queries ----------------------------------------------------
 
@@ -88,12 +88,8 @@ class Graph:
 
         Duplicate edges collapse to one and self-loops are dropped; both are
         counted in the load report.  Internal ids follow first appearance.
-        Each edge is appended to both endpoints' lists as it is read.  Each
-        list is then replaced by a sorted copy of exact size, and only a
-        list that repeats a neighbor is deduplicated: a repeated edge
-        shrinks each of its two endpoints' lists by one.  Nodes of equal
-        degree share one unit-weight row, so the rows hold at most 2m
-        entries in all.
+        Each edge is appended to both endpoints' lists as it is read, and
+        :func:`_unit_graph` finishes the lists.
         """
         index: dict[str, int] = {}
         adj: list[list[int]] = []
@@ -116,27 +112,7 @@ class Graph:
             if lab not in index:
                 index[lab] = len(adj)
                 adj.append([])
-
-        shrinkage = 0
-        degrees: list[int] = []
-        for u, nbrs in enumerate(adj):
-            ordered = adj[u] = sorted(nbrs)
-            unique = set(ordered)
-            if len(unique) != len(ordered):
-                adj[u] = sorted(unique)
-                shrinkage += len(ordered) - len(unique)
-            degrees.append(len(unique))
-        rows = {d: [1.0] * d for d in set(degrees)}
-        weights = list(map(rows.__getitem__, degrees))
-        report = LoadReport(duplicate_edges=shrinkage // 2, self_loops=self_loops)
-        return cls(
-            adj=adj,
-            weights=weights,
-            self_loops=[0.0] * len(adj),
-            labels=list(index),
-            load_report=report,
-            index=index,
-        )
+        return _unit_graph(index, adj, self_loops)
 
     # -- operations ---------------------------------------------------------
 
@@ -175,6 +151,38 @@ class Graph:
         )
 
 
+def _unit_graph(index: dict[str, int], adj: list[list[int]], self_loops: int) -> Graph:
+    """The unit-weight graph of the neighbor lists ``adj`` as they were read.
+
+    ``adj[u]`` holds each neighbor of ``u`` once per edge read, in reading
+    order, and ``self_loops`` counts the self-loops dropped.  Each list is
+    replaced by a sorted copy of exact size, and only a list that repeats
+    a neighbor is deduplicated: a repeated edge shrinks each of its two
+    endpoints' lists by one.  Nodes of equal degree share one unit-weight
+    row, so the rows hold at most 2m entries in all.
+    """
+    shrinkage = 0
+    degrees: list[int] = []
+    for u, nbrs in enumerate(adj):
+        ordered = adj[u] = sorted(nbrs)
+        unique = set(ordered)
+        if len(unique) != len(ordered):
+            adj[u] = sorted(unique)
+            shrinkage += len(ordered) - len(unique)
+        degrees.append(len(unique))
+    rows = {d: [1.0] * d for d in set(degrees)}
+    weights = list(map(rows.__getitem__, degrees))
+    report = LoadReport(duplicate_edges=shrinkage // 2, self_loops=self_loops)
+    return Graph(
+        adj=adj,
+        weights=weights,
+        self_loops=[0.0] * len(adj),
+        labels=list(index),
+        load_report=report,
+        index=index,
+    )
+
+
 def load_edge_list(stream: Iterable[str]) -> Graph:
     """Parse a whitespace-separated edge list into a :class:`Graph`.
 
@@ -184,19 +192,43 @@ def load_edge_list(stream: Iterable[str]) -> Graph:
     opened in text mode or any iterable of strings.  Raises
     :class:`GraphParseError` with the offending line number on a malformed
     line.  Empty input yields an empty graph.
-    """
 
-    def lines():
-        for lineno, line in enumerate(stream, start=1):
+    The graph is that of :meth:`Graph.from_edges` over the lines' token
+    pairs, built in the same single pass that checks them: each line is
+    taken from ``stream`` only after the previous one is in the graph, so
+    the first bad line in file order raises, whether the loader or
+    ``stream`` finds it.  A label that is already known does not start
+    with ``#``, so only a first appearance is checked for one.
+    """
+    index: dict[str, int] = {}
+    adj: list[list[int]] = []
+    self_loops = 0
+    get = index.get
+    for lineno, line in enumerate(stream, start=1):
+        try:
+            a, b = line.split()
+        except ValueError:
             tokens = line.split()
             if not tokens or tokens[0][0] == "#":
                 continue
-            if len(tokens) != 2:
-                raise GraphParseError(
-                    lineno, f"expected 2 tokens, found {len(tokens)}: {line.strip()!r}"
-                )
-            if tokens[1][0] == "#":
+            raise GraphParseError(
+                lineno, f"expected 2 tokens, found {len(tokens)}: {line.strip()!r}"
+            ) from None
+        u = get(a)
+        if u is None:
+            if a[0] == "#":
+                continue  # a comment of two tokens
+            u = index[a] = len(adj)
+            adj.append([])
+        v = get(b)
+        if v is None:
+            if b[0] == "#":
                 raise GraphParseError(lineno, f"a label may not start with '#': {line.strip()!r}")
-            yield tokens
-
-    return Graph.from_edges(lines())
+            v = index[b] = len(adj)
+            adj.append([])
+        if u == v:
+            self_loops += 1
+        else:
+            adj[u].append(v)
+            adj[v].append(u)
+    return _unit_graph(index, adj, self_loops)

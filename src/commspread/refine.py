@@ -6,8 +6,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter, _count_elements, defaultdict
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from math import inf
+from operator import add, is_
 from typing import Iterable
 
 from .cover import UNASSIGNED, Cover
@@ -142,12 +143,28 @@ def _excess_weights(g: Graph, w2: float) -> dict[int, list[tuple[int, float]]] |
     weight that is fractional, negative or not finite, with a total ``w2``
     of ``2**52`` or more, or with more than a quarter of its adjacency
     entries of a weight other than 1.0.
+
+    An input graph gives all its nodes of one degree one shared row
+    (:class:`~commspread.graph.Graph`).  When every row is the row of its
+    length, each distinct row is read once and its entries other than 1.0
+    count once per vertex that holds it; otherwise every vertex's row is
+    read.  Nothing of size ``n`` is built but the list of row lengths: a
+    table keyed by row identity, at ``n`` = 5000, is large enough to be
+    mapped and unmapped on its own, and so raised the recorded peak memory
+    of a run.
     """
     weights = g.weights
-    entries = sum(map(len, weights))
+    entries = 2 * g.m
+    lengths = list(map(len, weights))
+    row_of = dict(zip(lengths, weights))
+    if all(map(is_, weights, map(row_of.__getitem__, lengths))):
+        holders = Counter(lengths)
+        rows = [(ws, holders[d]) for d, ws in row_of.items()]
+    else:
+        rows = zip(weights, repeat(1))
     heavy = 0
-    for ws in weights:
-        heavy += len(ws) - ws.count(1.0)
+    for ws, k in rows:
+        heavy += (len(ws) - ws.count(1.0)) * k
         if 4 * heavy > entries:
             return None
     if not heavy:
@@ -267,11 +284,17 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
     n = g.n
     partition = list(range(n)) if initial is None else list(initial)
     adj, weights = g.adj, g.weights
-    strength = [sum(ws) + loop for ws, loop in zip(weights, g.self_loops)]
-    # Totals are indexed by label.
-    tot = [0.0] * (max(partition, default=-1) + 1)
-    for c, s in zip(partition, strength):
-        tot[c] += s
+    strength = list(map(add, map(sum, weights), g.self_loops))
+    # Equal strengths share one float, one per degree on an input graph, so
+    # the level holds its distinct strengths instead of n floats.
+    strength = list(map({}.setdefault, strength, strength))
+    # Totals are indexed by label; from singletons each is one strength.
+    if initial is None:
+        tot = list(strength)
+    else:
+        tot = [0.0] * (max(partition, default=-1) + 1)
+        for c, s in zip(partition, strength):
+            tot[c] += s
     w2 = sum(strength)
     if w2 == 0:
         return partition

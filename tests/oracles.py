@@ -307,6 +307,34 @@ def local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
     return partition
 
 
+def excess_weights(g: Graph, w2: float) -> dict[int, list[tuple[int, float]]] | None:
+    """The rule of :func:`commspread.refine._excess_weights`, read off every row.
+
+    Every vertex's row is read, whether or not its row object is shared
+    with other vertices, so each entry other than 1.0 counts once per
+    vertex that holds it.
+    """
+    weights = g.weights
+    entries = sum(map(len, weights))
+    heavy = 0
+    for ws in weights:
+        heavy += len(ws) - ws.count(1.0)
+        if 4 * heavy > entries:
+            return None
+    if not heavy:
+        return {}
+    if not w2 < 2.0**52:
+        return None
+    excess = {}
+    for v, (nbrs, ws) in enumerate(zip(g.adj, weights)):
+        if ws.count(1.0) != len(ws):
+            pairs = [(u, w) for u, w in zip(nbrs, ws) if w != 1.0]
+            if not all(w >= 0.0 and w % 1.0 == 0.0 for _, w in pairs):
+                return None
+            excess[v] = [(u, w - 1.0) for u, w in pairs]
+    return excess
+
+
 def weighted_graph(edges: dict[tuple[int, int], float], self_loops: list[float]) -> Graph:
     """Unlabeled weighted graph on ``len(self_loops)`` nodes from ``{(u, v): weight}``, u < v.
 

@@ -190,6 +190,32 @@ def test_non_utf8_edge_list_exits_2_naming_the_line(capsys, tmp_path, monkeypatc
         assert stderr == f"error: cannot parse {bad}: {message}\n"
 
 
+@pytest.mark.parametrize("malformed, reread", [(1000, False), (4990, True)])
+def test_malformed_line_before_an_undecodable_one_in_a_long_file(
+    capsys, tmp_path, monkeypatch, malformed, reread
+):
+    # 5000 lines, 47 KB, with line 4995 not UTF-8.  The text-mode read
+    # parses line 1000 before it decodes the 8 KB block of line 4995; line
+    # 4990 shares that block, so its error comes from the line-by-line
+    # re-read, which the loader must stop at line 4990.
+    lines = [f"{v} {v + 1}\n".encode() for v in range(5000)]
+    lines[malformed - 1] = b"x y z\n"
+    lines[4994] = b"y \xff\n"
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"".join(lines))
+    rereads = []
+    utf8_lines = cli._utf8_lines
+    monkeypatch.setattr(cli, "_utf8_lines", lambda fh: rereads.append(fh) or utf8_lines(fh))
+    out = tmp_path / "cover.tsv"
+    code, _, stderr = run_cli(
+        capsys, "detect", "--input", str(bad), "--method", "ins", "--output", str(out)
+    )
+    assert code == 2
+    message = f"line {malformed}: expected 2 tokens, found 3: 'x y z'"
+    assert stderr == f"error: cannot parse {bad}: {message}\n"
+    assert bool(rereads) == reread
+
+
 def test_eval_non_utf8_cover_exits_2_naming_the_line(capsys, tmp_path):
     edges = tmp_path / "g.txt"
     edges.write_text("a b\n")

@@ -1,10 +1,12 @@
 """Edge-list ingestion, graph queries and sampling."""
 
+import io
+import random
 from fractions import Fraction
 
 import pytest
 
-from commspread import Cover, Graph, GraphParseError, modularity
+from commspread import Cover, Graph, GraphParseError, load_edge_list, modularity
 
 from conftest import graph, load_dataset
 from oracles import edges, weighted_graph
@@ -50,6 +52,70 @@ def test_crlf_tabs_and_indented_comments():
     g = graph("a\tb\r\n  # comment\r\n\tb \t c\r\n\r\n")
     assert g.labels == ["a", "b", "c"]
     assert g.adj == [[1], [0, 2], [1]]
+
+
+def long_edge_list(lines: int = 5000) -> list[tuple[str, str]]:
+    """``lines`` seeded pairs on 800 labels, with some repeats and self-loops.
+
+    One label in ten holds a ``#`` after its first character.
+    """
+    rng = random.Random(5000)
+    labels = [str(k) if k % 10 else f"{k}#{k}" for k in range(800)]
+    return [(rng.choice(labels), rng.choice(labels)) for _ in range(lines)]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("7 8 9", "expected 2 tokens, found 3: '7 8 9'"),
+        ("x7\t#8", "a label may not start with '#': 'x7\\t#8'"),
+        ("17 #8", "a label may not start with '#': '17 #8'"),
+    ],
+)
+def test_bad_line_near_the_end_of_a_long_file_is_named(bad, message):
+    # Line 4990 of 5000; "17" is a label of earlier lines and "x7" is not.
+    lines = [f"{a} {b}\n" for a, b in long_edge_list()]
+    lines[4989] = bad + "\n"
+    with pytest.raises(GraphParseError) as exc:
+        load_edge_list(io.StringIO("".join(lines)))
+    assert exc.value.line_number == 4990
+    assert str(exc.value) == f"line 4990: {message}"
+
+
+def test_lines_after_a_bad_line_are_not_read():
+    # A stream that fails at line 4995, as a check of its encoding would,
+    # is never asked for that line when line 4990 is malformed.
+    lines = [f"{a} {b}\n" for a, b in long_edge_list()]
+    lines[4989] = "7 8 9\n"
+
+    def stream():
+        for lineno, line in enumerate(lines, start=1):
+            if lineno == 4995:
+                raise GraphParseError(lineno, "unreadable")
+            yield line
+
+    with pytest.raises(GraphParseError) as exc:
+        load_edge_list(stream())
+    assert str(exc.value) == "line 4990: expected 2 tokens, found 3: '7 8 9'"
+
+
+def test_blank_comment_crlf_and_tab_lines_load_like_from_edges():
+    pairs = long_edge_list()
+    lines = []
+    for i, (a, b) in enumerate(pairs):
+        if i % 97 == 0:
+            lines.append("\n")
+        if i % 89 == 0:
+            lines.append("# comment 1 2\n" if i % 2 else "  #\tcomment\r\n")
+        sep = "\t" if i % 3 == 0 else " "
+        end = "\r\n" if i % 5 == 0 else "\n"
+        lines.append(f"{a}{sep}{b}{end}")
+    g = load_edge_list(io.StringIO("".join(lines)))
+    expected = Graph.from_edges(pairs)
+    for field in ("adj", "weights", "self_loops", "labels", "index", "load_report"):
+        assert getattr(g, field) == getattr(expected, field), field
+    assert g.load_report.self_loops > 0 and g.load_report.duplicate_edges > 0
+    assert len({id(w) for w in g.weights}) == len(set(map(len, g.adj)))
 
 
 def test_duplicates_and_self_loops_collapsed_and_counted():

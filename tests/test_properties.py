@@ -19,6 +19,7 @@ from commspread import (
 from commspread.cover import UNASSIGNED
 from commspread.refine import (
     MOVE_TOLERANCE,
+    _excess_weights,
     _local_moves,
     initial_cover,
     post_process,
@@ -195,6 +196,38 @@ def test_allocation_equals_brute_force_oracle(g, method, threshold):
     cover = initial_cover(tr)
     expected = allocate_brokers(g, cover, tr.node_type).assignment
     assert post_process(g, cover, tr.node_type).assignment == expected
+
+
+def shared_rows(g: Graph, data) -> Graph:
+    """``g`` with one drawn row per degree, held by every vertex of that degree.
+
+    A row's entries are 1.0, 2.0, 3.0 or 0.5, so an entry other than 1.0
+    counts once per vertex that holds its row.
+    """
+    weight = st.sampled_from([1.0, 1.0, 1.0, 2.0, 3.0, 0.5])
+    rows = {
+        d: data.draw(st.lists(weight, min_size=d, max_size=d))
+        for d in sorted(set(map(len, g.adj)))
+    }
+    return Graph(
+        adj=g.adj,
+        weights=[rows[len(nbrs)] for nbrs in g.adj],
+        self_loops=list(g.self_loops),
+        labels=[],
+    )
+
+
+@settings(deadline=None)
+@given(MIXED_GRAPHS, st.data())
+def test_excess_weights_equal_the_full_scan_oracle(g, data):
+    # The input graph shares a unit row per degree, the drawn copy shares
+    # non-unit rows, the contraction has integral weights and the copy
+    # fractional ones; each is read with its own total and with 2**52.
+    contracted = reduce_graph(g, data.draw(covers(g))).graph
+    for level in (g, shared_rows(g, data), contracted, fractional_copy(g, data)):
+        w2 = sum(map(sum, level.weights)) + sum(level.self_loops)
+        for total in (w2, 2.0**52):
+            assert _excess_weights(level, total) == oracles.excess_weights(level, total)
 
 
 @settings(deadline=None)

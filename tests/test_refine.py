@@ -9,6 +9,7 @@ from commspread import Cover, Graph, RunConfig, modularity, refine, run_traversa
 from commspread.cover import UNASSIGNED
 from commspread.refine import (
     MOVE_TOLERANCE,
+    _excess_weights,
     _local_moves,
     initial_cover,
     maximize_modularity,
@@ -18,6 +19,7 @@ from commspread.refine import (
 )
 from commspread.traversal import NodeType
 
+import oracles
 from conftest import graph, perfbench_module, random_graph, random_partition
 from oracles import communities, delta_modularity, local_moves, strength, weighted_graph
 
@@ -138,6 +140,21 @@ def test_reduce_graph_of_labeled_singletons_is_the_identity():
         g.weights,
         g.self_loops,
     )
+
+
+def test_reduce_graph_orders_rows_by_integer_id():
+    # 22 super-vertices: a row holding 9 and 10 is [9, 10] by integer order
+    # but [10, 9] by string order, so a contraction that sorted its rows by
+    # any other key than the id would differ from the oracle's.
+    rng = random.Random(25)
+    g = random_graph(rng, 60, 0.2)
+    cover = Cover(random_partition(rng, g.n, 24))
+    got, expected = reduce_graph(g, cover), oracles.reduce_graph(g, cover)
+    assert got.graph.n == 22
+    assert any(row != sorted(row, key=str) for row in expected.graph.adj)
+    for field in ("adj", "weights", "self_loops"):
+        assert getattr(got.graph, field) == getattr(expected.graph, field), field
+    assert got.member_map == expected.member_map
 
 
 def test_delta_modularity_matches_recompute():
@@ -283,6 +300,57 @@ def test_integral_levels_equal_the_full_pass_oracle(gnm_levels, depth, counted):
         wide[s] = s
     for initial in (None, wide):
         assert _local_moves(level, initial) == local_moves(level, initial)
+
+
+@pytest.mark.parametrize("depth, counted", [(0, True), (1, True), (3, False)])
+def test_excess_weights_of_integral_levels_equal_the_full_scan_oracle(gnm_levels, depth, counted):
+    # Level 1 lies below a quarter of entries other than 1.0 and level 3
+    # above it (test_integral_levels_equal_the_full_pass_oracle).
+    level = gnm_levels[depth]
+    w2 = sum(map(sum, level.weights)) + sum(level.self_loops)
+    expected = oracles.excess_weights(level, w2)
+    assert (expected is not None) == counted
+    assert _excess_weights(level, w2) == expected
+
+
+@pytest.mark.parametrize("heavy, counted", [([1.0, 2.0], True), ([2.0, 2.0], False)])
+def test_excess_weights_count_a_row_of_one_degree_once_per_holder(heavy, counted):
+    # A ring of 8 vertices with the chords 0-4 and 1-5 has 20 adjacency
+    # entries.  Its 4 vertices of degree 2 hold one row: one entry other
+    # than 1.0 in it puts 4 on the level, a quarter or less; two put 8.
+    ring = numbered(8, [(v, v + 1) for v in range(7)] + [(0, 7), (0, 4), (1, 5)])
+    unit = [1.0] * 3
+    g = Graph(
+        adj=ring.adj,
+        weights=[heavy if len(nbrs) == 2 else unit for nbrs in ring.adj],
+        self_loops=[0.0] * 8,
+        labels=[],
+    )
+    expected = oracles.excess_weights(g, 28.0)
+    assert (expected is not None) == counted
+    assert _excess_weights(g, 28.0) == expected
+
+
+@pytest.mark.parametrize("holders", [4, 5])
+def test_excess_weights_count_a_shared_row_once_per_holder(holders):
+    # A ring of 8 vertices has 16 adjacency entries.  One row object with
+    # an entry of 2.0, held by the first ``holders`` vertices beside a unit
+    # row of the same length, puts ``holders`` entries other than 1.0 on
+    # the level: a quarter or less for 4 holders, more for 5.
+    ring = numbered(8, [(v, v + 1) for v in range(7)] + [(0, 7)])
+    unit, heavy = [1.0, 1.0], [1.0, 2.0]
+    g = Graph(
+        adj=ring.adj,
+        weights=[heavy if v < holders else unit for v in range(8)],
+        self_loops=[0.0] * 8,
+        labels=[],
+    )
+    expected = oracles.excess_weights(g, 20.0)
+    if holders == 4:
+        assert expected == {v: [(g.adj[v][1], 1.0)] for v in range(4)}
+    else:
+        assert expected is None
+    assert _excess_weights(g, 20.0) == expected
 
 
 def test_certificates_skip_vertices_that_stay(monkeypatch):
