@@ -40,11 +40,13 @@ largest fall.  The exit status is 1 if anything differs, else 0.  If a digest ru
 fails, its stderr is printed, with which tree failed, and the exit status
 is 1.
 
-Each digest run also counts the calls of ``refine._count_elements``, if
-its tree has that name: one per broker scored by the allocation and one
-per local-move evaluation on a level that counts neighbor labels.  The
-summary prints both trees' totals, a work measure that needs no
-instrumented copy; they do not change the exit status.
+Each digest run also counts two kinds of work, each if its tree has the
+name: the calls of ``refine._count_elements``, one per broker scored by
+the allocation and one per local-move evaluation on a level that counts
+neighbor labels, and the adjacency entries read by
+``refine._mark_next_to``, the local moves' sweeps of a community that
+lost a member.  The summary prints both trees' totals, work measures
+that need no instrumented copy; they do not change the exit status.
 
 REV can reach back to ``7cb54c8``, the first tree whose ``run_traversal``
 takes ``trace``; the digest mode fails on older trees.  The two
@@ -293,13 +295,14 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
 
 
 def counted_digests(graphs: int, seed: int) -> dict:
-    """:func:`digests` and the calls of ``refine._count_elements`` they made.
+    """:func:`digests`, the calls of ``refine._count_elements`` they made and
+    the adjacency entries that ``refine._mark_next_to`` read.
 
-    The count is ``None`` when the tree's ``refine`` has no such name.
+    A total is ``None`` when the tree's ``refine`` has no such name.
     """
     from commspread import refine
 
-    calls = None
+    calls = entries = None
     count = getattr(refine, "_count_elements", None)
     if count is not None:
         calls = 0
@@ -310,7 +313,21 @@ def counted_digests(graphs: int, seed: int) -> dict:
             count(mapping, iterable)
 
         refine._count_elements = counting
-    return {"digests": digests(graphs, seed), "count_elements": calls}
+    mark = getattr(refine, "_mark_next_to", None)
+    if mark is not None:
+        entries = 0
+
+        def sweeping(dirty, c, members, adj, partition):
+            nonlocal entries
+            entries += sum(map(len, map(adj.__getitem__, members)))
+            mark(dirty, c, members, adj, partition)
+
+        refine._mark_next_to = sweeping
+    return {
+        "digests": digests(graphs, seed),
+        "count_elements": calls,
+        "mark_next_to": entries,
+    }
 
 
 def run_tree(src: pathlib.Path, tree: str, graphs: int, seed: int) -> dict:
@@ -374,7 +391,9 @@ def main() -> int:
     )
     print(
         f"refine._count_elements calls: {old_run['count_elements']} at {args.rev}, "
-        f"{new_run['count_elements']} in the working tree"
+        f"{new_run['count_elements']} in the working tree; "
+        f"refine._mark_next_to entries read: {old_run['mark_next_to']} at {args.rev}, "
+        f"{new_run['mark_next_to']} in the working tree"
     )
     return 1 if differences else 0
 

@@ -6,9 +6,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter, _count_elements, defaultdict
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from math import inf
-from operator import add, is_
+from operator import add
 from typing import Iterable
 
 from .cover import UNASSIGNED, Cover
@@ -144,27 +144,14 @@ def _excess_weights(g: Graph, w2: float) -> dict[int, list[tuple[int, float]]] |
     of ``2**52`` or more, or with more than a quarter of its adjacency
     entries of a weight other than 1.0.
 
-    An input graph gives all its nodes of one degree one shared row
-    (:class:`~commspread.graph.Graph`).  When every row is the row of its
-    length, each distinct row is read once and its entries other than 1.0
-    count once per vertex that holds it; otherwise every vertex's row is
-    read.  Nothing of size ``n`` is built but the list of row lengths: a
-    table keyed by row identity, at ``n`` = 5000, is large enough to be
-    mapped and unmapped on its own, and so raised the recorded peak memory
-    of a run.
+    Every vertex's row is read, a row that several vertices share once per
+    holder, until the count passes a quarter of the entries.
     """
     weights = g.weights
     entries = 2 * g.m
-    lengths = list(map(len, weights))
-    row_of = dict(zip(lengths, weights))
-    if all(map(is_, weights, map(row_of.__getitem__, lengths))):
-        holders = Counter(lengths)
-        rows = [(ws, holders[d]) for d, ws in row_of.items()]
-    else:
-        rows = zip(weights, repeat(1))
     heavy = 0
-    for ws, k in rows:
-        heavy += (len(ws) - ws.count(1.0)) * k
+    for ws in weights:
+        heavy += len(ws) - ws.count(1.0)
         if 4 * heavy > entries:
             return None
     if not heavy:
@@ -228,8 +215,10 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
     every neighbor of ``y``, whose weights to ``A`` and ``B`` changed; (b)
     every member of ``B``, ``y`` included, whose stay term fell as the total
     of ``B`` grew; (c) every vertex outside ``A`` adjacent to a member of
-    ``A``, whose gain for joining ``A`` rose as its total fell.  Any other
-    vertex sees only its stay term rise or an alternative's total grow.
+    ``A``, whose gain for joining ``A`` rose as its total fell.  Rule (c)
+    sweeps ``A`` at every loss; a vertex next to a later member of ``A``
+    is marked by (a) when that member joins.  Any other vertex sees only
+    its stay term rise or an alternative's total grow.
     Float subtraction and multiplication are monotone, so an unmarked
     vertex, which stayed or was proven to stay at its last pop, would stay
     again.  A refill pass therefore scans ``compress(range(n), dirty)``
@@ -240,19 +229,6 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
     A vertex ahead of the scan is still to be popped, so a move resets its
     certificate as it would a queued vertex's and does not append it to the
     tail.  Every tail vertex was marked by (a) when a move appended it.
-
-    Rule (c) sweeps ``A`` at its first loss in a pass's scan.  A later loss
-    in the pass, or one in the tail, makes ``A`` pending, and the refill
-    sweeps each pending community's final members.  A vertex ahead of the
-    scan at the later loss is already marked: it was ahead at the first
-    loss too, so it kept that sweep's mark if it was next to a member then;
-    a member that joined ``A`` since was a mover and marked it by (a); and
-    it cannot have left ``A`` since, as it has not been popped.  A vertex
-    behind the scan waits for the refill either way, which marks it if it
-    is outside ``A`` next to a final member; a member it was next to that
-    left was a mover, and if it joined ``A`` itself, it was popped after
-    the loss.  The refill can mark a vertex popped after the loss, so a
-    pass can pop more vertices than with every sweep at once, never fewer.
 
     The first pass pays for no marks and tests no certificate: each vertex
     in it is popped for the first time, or again after a move queued it and
@@ -315,10 +291,6 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
     # Set at the first refill: the marks and each community's members.
     dirty: bytearray | None = None
     members: defaultdict[int, list[int]] = defaultdict(list)
-    # Communities left in this pass's scan, and those whose rule (c) sweep
-    # waits for the refill.
-    swept: set[int] = set()
-    pending: set[int] = set()
     excess = _excess_weights(g, w2)
     label_of = partition.__getitem__
     while True:
@@ -376,11 +348,7 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
                         dirty[u] = 1
                     left = members[cur]
                     left.remove(v)
-                    if pos == n or cur in swept:
-                        pending.add(cur)
-                    else:
-                        swept.add(cur)
-                        _mark_next_to(dirty, cur, left, adj, partition)  # (c)
+                    _mark_next_to(dirty, cur, left, adj, partition)  # (c)
             elif weight_to and s_v:
                 expires[v] = moved + int((stay - best_gain) * 2.0**39 / s_v)
             else:
@@ -392,10 +360,6 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
             dirty = bytearray(b"\x01") * n
             for u, c in enumerate(partition):
                 members[c].append(u)
-        for c in pending:
-            _mark_next_to(dirty, c, members[c], adj, partition)
-        swept.clear()
-        pending.clear()
         scan = compress(range(n), dirty)
         tail = []
         pos = -1

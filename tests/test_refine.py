@@ -261,10 +261,10 @@ def test_closing_pass_pops_a_neighbor_ahead_of_the_scan_once():
 def test_closing_pass_revisits_vertices_behind_the_scan_next_to_a_twice_left_community():
     # First closing pass: 0 leaves community 1 for 8, and the sweep of 1
     # marks 3, which stays at its place in the scan.  Then 5 also leaves 1
-    # for 8, and this second loss of 1 in the pass waits for the refill.
-    # 3, behind the scan, outside 1 and next to its members 2 and 6, is not
-    # a neighbor of 5, so only the refill's sweep of 1 marks it; the smaller
-    # total of 1 draws 3, and 4 after it, into 1 in the second closing pass.
+    # for 8, and this second loss sweeps 1 at once.  3, behind the scan,
+    # outside 1 and next to its members 2 and 6, is not a neighbor of 5, so
+    # only that sweep marks it again; the smaller total of 1 draws 3, and 4
+    # after it, into 1 in the second closing pass.
     g = numbered(
         9,
         [(0, 1), (0, 5), (0, 8), (1, 2), (1, 5), (1, 6), (2, 3), (2, 5), (2, 6), (2, 8)]
