@@ -29,6 +29,9 @@ order, it also digests ``_local_moves`` from singletons and from a seeded
 cover.  It does the same on the contraction of each of the two graphs
 themselves by their own ``_local_moves`` partition: integral weights, few
 of them above 1.0 on the G(n, m) graph and most on the planted one.
+The random and 2000-node graphs are built by ``load_edge_list`` from
+their edge lines followed by one ``v v`` line per node, so both trees
+build them from the same text with their own loader.
 It digests the ``load_edge_list`` graph of ``LOADER_TEXTS`` seeded
 irregular edge-list texts (comments, blank lines, tabs, CRLF ends,
 reversed duplicates, self-loops and labels with an inner ``#``), with the
@@ -153,6 +156,18 @@ def mid_size_edges(name: str) -> tuple[list[tuple[str, str]], list[str]]:
     return [(str(u), str(v)) for u, v in pairs], [str(v) for v in range(n)]
 
 
+def edge_list_graph(edges: list[tuple[str, str]], nodes: list[str]):
+    """The ``load_edge_list`` graph of ``edges``, then one ``v v`` line per node.
+
+    A self-loop line gives a new label an id and adds no edge, so every
+    listed node is in the graph, isolated or not, and the loader counts
+    one self-loop per node on top of the edge list's own.
+    """
+    from commspread import load_edge_list
+
+    return load_edge_list([f"{a} {b}\n" for a, b in edges] + [f"{v} {v}\n" for v in nodes])
+
+
 def fractional_copy(g, rng: random.Random):
     """``g`` with a log-uniform weight in [1e-6, 1] on every edge and self-loop."""
     from commspread import Graph
@@ -193,7 +208,6 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
     """Digest of every result and Q of every cover, keyed ``graph/algorithm[/field]``."""
     from commspread import (
         Cover,
-        Graph,
         GraphParseError,
         RunConfig,
         cover_stats,
@@ -221,11 +235,10 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
         with open(ROOT / "data" / f"{name}.txt", encoding="utf-8") as fh:
             cases.append((name, load_edge_list(fh)))
     for name in MID_SIZE:
-        edges, nodes = mid_size_edges(name)
-        cases.append((name, Graph.from_edges(edges, extra_nodes=nodes)))
+        cases.append((name, edge_list_graph(*mid_size_edges(name))))
     for i in range(graphs):
         edges, nodes = random_edges(random.Random(seed * 1_000_003 + i))
-        cases.append((f"random{i}", Graph.from_edges(edges, extra_nodes=nodes)))
+        cases.append((f"random{i}", edge_list_graph(edges, nodes)))
 
     out: dict[str, tuple[str, float | None]] = {}
     for i in range(LOADER_TEXTS):

@@ -70,7 +70,7 @@ def _resolve_start(g: Graph, value: str) -> int | None:
         return None
     try:
         return g.id_of(value)
-    except KeyError:
+    except ValueError:
         raise CliError(f"start node {value!r} not present in the graph") from None
 
 

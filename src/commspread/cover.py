@@ -84,6 +84,7 @@ def read_cover_file(g: Graph, stream: Iterable[str]) -> Cover:
     once, with a non-negative integer community id.  A malformed line raises
     a ValueError naming its number.
     """
+    index = {label: v for v, label in enumerate(g.labels)}
     assignment = [UNASSIGNED] * g.n
     unknown: list[str] = []
     for lineno, raw in enumerate(stream, start=1):
@@ -100,7 +101,7 @@ def read_cover_file(g: Graph, stream: Iterable[str]) -> Cover:
             raise ValueError(f"line {lineno}: community id is not an integer: {comm!r}") from None
         if c < 0:
             raise ValueError(f"line {lineno}: community id must be non-negative: {c}")
-        v = g.index.get(label)
+        v = index.get(label)
         if v is None:
             unknown.append(label)
         elif assignment[v] != UNASSIGNED:

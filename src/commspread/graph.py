@@ -1,18 +1,19 @@
 """Immutable undirected weighted graph storage and edge-list ingestion.
 
 Every graph, input or contracted, has one layout: sorted adjacency lists,
-parallel edge weights and a per-node self-loop weight.  Input graphs are
-simple, so they carry unit weights and zero self-loops, and all nodes of
-one degree share a single unit-weight row; the reduced graphs produced by
-:mod:`commspread.refine` carry contracted weights.  Nothing mutates a
-graph's lists once it is built.
+parallel edge weights and a per-node self-loop weight.  Input graphs have
+one builder, :func:`load_edge_list`.  They are simple, so they carry unit
+weights and zero self-loops, and all nodes of one degree share a single
+unit-weight row; the reduced graphs produced by :mod:`commspread.refine`
+carry contracted weights.  Nothing mutates a graph's lists once it is
+built.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 
 class GraphParseError(ValueError):
@@ -39,9 +40,9 @@ class Graph:
     ``v`` itself) and ``weights[v]`` is parallel to it.  Rows may be shared:
     on an input graph, every node of degree ``d`` holds the same
     ``[1.0] * d`` list, so no code may mutate a row.  ``self_loops[v]`` is
-    the self-loop weight of ``v``.  ``labels`` maps dense internal ids back
-    to the external string labels and ``index`` maps them forward; both are
-    empty on contracted graphs, whose nodes are known only by id.
+    the self-loop weight of ``v``.  ``labels`` maps dense internal ids to
+    the external string labels; it is empty on contracted graphs, whose
+    nodes are known only by id.
     """
 
     adj: list[list[int]]
@@ -49,11 +50,8 @@ class Graph:
     self_loops: list[float]
     labels: list[str]
     load_report: LoadReport = field(default_factory=LoadReport, repr=False)
-    index: Optional[dict[str, int]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.index is None:
-            self.index = {lab: i for i, lab in enumerate(self.labels)}
         self._m = sum(map(len, self.adj)) // 2
 
     # -- basic queries ----------------------------------------------------
@@ -71,48 +69,14 @@ class Graph:
         return len(self.adj[v])
 
     def id_of(self, label: str) -> int:
-        return self.index[label]
+        """Internal id of ``label``, by a linear search of ``labels``.
+
+        Raises ValueError for a label the graph does not have.
+        """
+        return self.labels.index(label)
 
     def label_of(self, v: int) -> str:
         return self.labels[v]
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[Sequence[str]],
-        extra_nodes: Sequence[str] = (),
-    ) -> "Graph":
-        """Build a simple unit-weight graph from labeled edges.
-
-        Duplicate edges collapse to one and self-loops are dropped; both are
-        counted in the load report.  Internal ids follow first appearance.
-        Each edge is appended to both endpoints' lists as it is read, and
-        :func:`_unit_graph` finishes the lists.
-        """
-        index: dict[str, int] = {}
-        adj: list[list[int]] = []
-        self_loops = 0
-        for a, b in edges:
-            u = index.get(a)
-            if u is None:
-                u = index[a] = len(adj)
-                adj.append([])
-            v = index.get(b)
-            if v is None:
-                v = index[b] = len(adj)
-                adj.append([])
-            if u == v:
-                self_loops += 1
-            else:
-                adj[u].append(v)
-                adj[v].append(u)
-        for lab in extra_nodes:
-            if lab not in index:
-                index[lab] = len(adj)
-                adj.append([])
-        return _unit_graph(index, adj, self_loops)
 
     # -- operations ---------------------------------------------------------
 
@@ -147,40 +111,7 @@ class Graph:
             weights=weights,
             self_loops=list(self.self_loops),
             labels=self.labels,
-            index=self.index,
         )
-
-
-def _unit_graph(index: dict[str, int], adj: list[list[int]], self_loops: int) -> Graph:
-    """The unit-weight graph of the neighbor lists ``adj`` as they were read.
-
-    ``adj[u]`` holds each neighbor of ``u`` once per edge read, in reading
-    order, and ``self_loops`` counts the self-loops dropped.  Each list is
-    replaced by a sorted copy of exact size, and only a list that repeats
-    a neighbor is deduplicated: a repeated edge shrinks each of its two
-    endpoints' lists by one.  Nodes of equal degree share one unit-weight
-    row, so the rows hold at most 2m entries in all.
-    """
-    shrinkage = 0
-    degrees: list[int] = []
-    for u, nbrs in enumerate(adj):
-        ordered = adj[u] = sorted(nbrs)
-        unique = set(ordered)
-        if len(unique) != len(ordered):
-            adj[u] = sorted(unique)
-            shrinkage += len(ordered) - len(unique)
-        degrees.append(len(unique))
-    rows = {d: [1.0] * d for d in set(degrees)}
-    weights = list(map(rows.__getitem__, degrees))
-    report = LoadReport(duplicate_edges=shrinkage // 2, self_loops=self_loops)
-    return Graph(
-        adj=adj,
-        weights=weights,
-        self_loops=[0.0] * len(adj),
-        labels=list(index),
-        load_report=report,
-        index=index,
-    )
 
 
 def load_edge_list(stream: Iterable[str]) -> Graph:
@@ -193,12 +124,20 @@ def load_edge_list(stream: Iterable[str]) -> Graph:
     :class:`GraphParseError` with the offending line number on a malformed
     line.  Empty input yields an empty graph.
 
-    The graph is that of :meth:`Graph.from_edges` over the lines' token
-    pairs, built in the same single pass that checks them: each line is
+    This is the only builder of input graphs.  Internal ids follow first
+    appearance, a self-loop line is counted and dropped (its label still
+    gets an id), and a repeated edge is counted and kept once.  The graph
+    is built in the same single pass that checks the lines: each line is
     taken from ``stream`` only after the previous one is in the graph, so
     the first bad line in file order raises, whether the loader or
     ``stream`` finds it.  A label that is already known does not start
     with ``#``, so only a first appearance is checked for one.
+
+    Each edge is appended to both endpoints' lists as it is read.  Each
+    list is then replaced by a sorted copy of exact size, and only a list
+    that repeats a neighbor is deduplicated: a repeated edge shrinks each
+    of its two endpoints' lists by one.  Nodes of equal degree share one
+    unit-weight row, so the rows hold at most 2m entries in all.
     """
     index: dict[str, int] = {}
     adj: list[list[int]] = []
@@ -231,4 +170,20 @@ def load_edge_list(stream: Iterable[str]) -> Graph:
         else:
             adj[u].append(v)
             adj[v].append(u)
-    return _unit_graph(index, adj, self_loops)
+    shrinkage = 0
+    degrees: list[int] = []
+    for u, nbrs in enumerate(adj):
+        ordered = adj[u] = sorted(nbrs)
+        unique = set(ordered)
+        if len(unique) != len(ordered):
+            adj[u] = sorted(unique)
+            shrinkage += len(ordered) - len(unique)
+        degrees.append(len(unique))
+    rows = {d: [1.0] * d for d in set(degrees)}
+    return Graph(
+        adj=adj,
+        weights=list(map(rows.__getitem__, degrees)),
+        self_loops=[0.0] * len(adj),
+        labels=list(index),
+        load_report=LoadReport(duplicate_edges=shrinkage // 2, self_loops=self_loops),
+    )

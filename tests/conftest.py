@@ -52,9 +52,14 @@ def walkthrough() -> Graph:
 
 
 def labeled_graph(n: int, edges) -> Graph:
-    """Graph on the labels ``"0"`` .. ``str(n - 1)`` with the integer pairs ``edges``."""
-    return Graph.from_edges(
-        [(str(u), str(v)) for u, v in edges], extra_nodes=[str(v) for v in range(n)]
+    """Graph on the labels ``"0"`` .. ``str(n - 1)`` with the integer pairs ``edges``.
+
+    Loaded from the edge lines, then one ``v v`` line per node: the loader
+    drops a self-loop line but gives its label an id, so isolated nodes
+    keep their ids after the edges' labels.
+    """
+    return load_edge_list(
+        [f"{u} {v}\n" for u, v in edges] + [f"{v} {v}\n" for v in range(n)]
     )
 
 

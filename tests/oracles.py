@@ -15,11 +15,12 @@ from commspread.traversal import NodeType, RunConfig, TraversalResult
 def graph_from_edges(edges, extra_nodes=()) -> Graph:
     """Simple unit-weight graph built through one sorted key per edge.
 
-    The rule of :meth:`commspread.Graph.from_edges`, evaluated directly:
-    labels get ids in order of first appearance, each undirected pair is
-    one ``(u, v)`` key with u < v (a repeat counts as a duplicate, a
-    self-loop is counted and dropped), and the keys are appended in sorted
-    order, which leaves every adjacency list sorted.
+    The rule of :func:`commspread.load_edge_list` over the lines' token
+    pairs, evaluated directly: labels get ids in order of first appearance
+    (``extra_nodes`` after the edges' labels), each undirected pair is one
+    ``(u, v)`` key with u < v (a repeat counts as a duplicate, a self-loop
+    is counted and dropped), and the keys are appended in sorted order,
+    which leaves every adjacency list sorted.
     """
     index: dict[str, int] = {}
 
@@ -49,7 +50,6 @@ def graph_from_edges(edges, extra_nodes=()) -> Graph:
         self_loops=[0.0] * n,
         labels=list(index),
         load_report=report,
-        index=index,
     )
 
 

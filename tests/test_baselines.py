@@ -2,10 +2,10 @@
 
 import pytest
 
-from commspread import Cover, Graph, louvain, modularity
+from commspread import Cover, louvain, modularity
 
 from conftest import graph, load_dataset
-from oracles import communities, edges
+from oracles import communities, edges, graph_from_edges
 
 
 TWO_CLIQUES = (
@@ -28,7 +28,7 @@ def test_louvain_quality_on_karate(karate):
 
 
 def test_louvain_empty_graph():
-    assert louvain(Graph.from_edges([])).assignment == []
+    assert louvain(graph_from_edges([])).assignment == []
 
 
 @pytest.mark.parametrize("name", ["karate", "lesmis", "walkthrough13"])

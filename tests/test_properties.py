@@ -1,6 +1,7 @@
 """Property tests over edge-case graph families and small random graphs."""
 
 import copy
+import io
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from commspread import (
     Graph,
     RunConfig,
     detect,
+    load_edge_list,
     louvain,
     modularity,
     run_traversal,
@@ -277,7 +279,7 @@ def test_sample_edges_equals_dict_and_sort_oracle(g, data, fraction, seed):
         got = level.sample_edges(fraction, seed)
         for field in ("adj", "weights", "self_loops"):
             assert getattr(got, field) == getattr(expected, field), field
-        assert (got.labels, got.index) == (level.labels, level.index)
+        assert got.labels == level.labels
 
 
 @settings(deadline=None)
@@ -327,13 +329,30 @@ def test_refine_cover_never_lowers_modularity(g, data):
 
 
 # Few labels, so that random pairs repeat in both orientations and loop.
-LABELS = st.sampled_from([str(i) for i in range(12)] + ["a", "b", "#c"])
+LABELS = st.sampled_from([str(i) for i in range(12)] + ["a", "b", "c#d"])
+# The text around one edge line: an optional noise line before it, the
+# leading space, the separator and the line end.
+LINE_SHAPES = st.tuples(
+    st.sampled_from(["", "", "\n", " \t\r\n", "# comment a b\n", "  #\tx y z\r\n", "#a b\r\n"]),
+    st.sampled_from(["", "", " ", "\t"]),
+    st.sampled_from([" ", "\t", " \t ", "   "]),
+    st.sampled_from(["\n", "\r\n", " \n", "\t\r\n"]),
+)
 
 
 @settings(deadline=None)
-@given(st.lists(st.tuples(LABELS, LABELS), max_size=60), st.lists(LABELS, max_size=8))
-def test_from_edges_equals_dict_and_sort_oracle(edges, extra_nodes):
-    g = Graph.from_edges(edges, extra_nodes=extra_nodes)
-    expected = graph_from_edges(edges, extra_nodes=extra_nodes)
-    for field in ("adj", "weights", "self_loops", "labels", "index", "load_report"):
+@given(st.lists(st.tuples(LABELS, LABELS), max_size=60), st.data())
+def test_load_edge_list_equals_dict_and_sort_oracle(drawn, data):
+    pairs = drawn + [(b, a) for a, b in drawn[::3]] + [(a, a) for a, _ in drawn[::5]]
+    pairs = data.draw(st.permutations(pairs))
+    shapes = data.draw(st.lists(LINE_SHAPES, min_size=len(pairs), max_size=len(pairs)))
+    text = "".join(
+        f"{noise}{lead}{a}{sep}{b}{end}" for (a, b), (noise, lead, sep, end) in zip(pairs, shapes)
+    )
+    g = load_edge_list(io.StringIO(text))
+    expected = graph_from_edges(pairs)
+    for field in ("adj", "weights", "self_loops", "labels", "load_report"):
         assert getattr(g, field) == getattr(expected, field), field
+    # Nodes of equal degree share one weight row.
+    rows: dict[int, list[float]] = {}
+    assert all(rows.setdefault(len(ws), ws) is ws for ws in g.weights)

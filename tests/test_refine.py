@@ -21,7 +21,14 @@ from commspread.traversal import NodeType
 
 import oracles
 from conftest import graph, perfbench_module, random_graph, random_partition
-from oracles import communities, delta_modularity, local_moves, strength, weighted_graph
+from oracles import (
+    communities,
+    delta_modularity,
+    graph_from_edges,
+    local_moves,
+    strength,
+    weighted_graph,
+)
 
 
 def numbered(n: int, edges: list[tuple[int, int]]) -> Graph:
@@ -359,7 +366,7 @@ def test_certificates_skip_vertices_that_stay(monkeypatch):
     # closing pass 1000 when it evaluates every vertex, 4385 in all; the
     # certificates skip a third of that pass.
     edges, _ = perfbench_module("graphs").planted(20, 50, 0.2, 600, seed=7)
-    g = Graph.from_edges([(str(u), str(v)) for u, v in edges])
+    g = graph_from_edges([(str(u), str(v)) for u, v in edges])
     assert (g.n, g.m) == (1000, 5553)
     evaluations = 0
 

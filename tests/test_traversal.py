@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from commspread import Graph, RunConfig, detect, run_traversal
+from commspread import RunConfig, detect, run_traversal
 from commspread.traversal import NodeType
 
 from conftest import graph, random_graph
+from oracles import graph_from_edges
 
 
 def test_config_validation():
@@ -35,9 +36,9 @@ def test_start_override_and_range_check():
 
 def test_start_out_of_range_on_empty_graph():
     with pytest.raises(ValueError):
-        run_traversal(Graph.from_edges([]), RunConfig(start=3))
+        run_traversal(graph_from_edges([]), RunConfig(start=3))
     with pytest.raises(ValueError):
-        detect(Graph.from_edges([]), RunConfig(start=3))
+        detect(graph_from_edges([]), RunConfig(start=3))
 
 
 def test_disconnected_graph_restarts_from_lowest_degree():
@@ -89,7 +90,7 @@ def test_inspection_counter_bound():
 
 
 def test_empty_graph():
-    res = run_traversal(Graph.from_edges([]), RunConfig())
+    res = run_traversal(graph_from_edges([]), RunConfig())
     assert res.community == [] and res.inspections == 0
 
 
