@@ -29,6 +29,11 @@ order, it also digests ``_local_moves`` from singletons and from a seeded
 cover.  It does the same on the contraction of each of the two graphs
 themselves by their own ``_local_moves`` partition: integral weights, few
 of them above 1.0 on the G(n, m) graph and most on the planted one.
+Graphs built by the loader are unit graphs (``Graph.unit``), so their
+local moves take strengths from degrees and their ``reduce_graph`` digests
+come from the loop that reads no weight, while the fractional copies and
+the level-1 graphs, which hold weights other than 1.0, take the weighted
+path.
 The random and 2000-node graphs are built by ``load_edge_list`` from
 their edge lines followed by one ``v v`` line per node, so both trees
 build them from the same text with their own loader.

@@ -6,13 +6,14 @@ one builder, :func:`load_edge_list`.  They are simple, so they carry unit
 weights and zero self-loops, and all nodes of one degree share a single
 unit-weight row; the reduced graphs produced by :mod:`commspread.refine`
 carry contracted weights.  Nothing mutates a graph's lists once it is
-built.
+built, so :attr:`Graph.unit` is computed once per graph.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 
@@ -42,7 +43,7 @@ class Graph:
     ``[1.0] * d`` list, so no code may mutate a row.  ``self_loops[v]`` is
     the self-loop weight of ``v``.  ``labels`` maps dense internal ids to
     the external string labels; it is empty on contracted graphs, whose
-    nodes are known only by id.
+    nodes are known only by id.  :attr:`unit` is derived, never passed.
     """
 
     adj: list[list[int]]
@@ -64,6 +65,18 @@ class Graph:
     def m(self) -> int:
         """Number of undirected edges (each counted once)."""
         return self._m
+
+    @cached_property
+    def unit(self) -> bool:
+        """True when every adjacency weight is 1.0, whatever the self-loops.
+
+        Reads each distinct row object once: a few dozen on an input graph.
+        A unit row sums exactly to its degree, so refinement reads no row of
+        a unit graph.
+        """
+        weights = self.weights
+        rows = dict(zip(map(id, weights), weights)).values()
+        return all(ws.count(1.0) == len(ws) for ws in rows)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

@@ -81,6 +81,11 @@ def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
     promoted to singleton communities first.  Super-vertices are ordered by
     the smallest member id of their community.  A cover of singletons
     contracts to ``g`` itself, not to a copy.
+
+    A unit graph (:attr:`Graph.unit`, such as every input graph) is
+    contracted by a loop that reads no weight: it adds 2.0 to a self-loop
+    and 1.0 to a cross weight per edge, in the same order as the weighted
+    loop, so every sum is the same float.
     """
     # Ascending node order meets each community first at its smallest member.
     super_of_label: dict[int, int] = {}
@@ -98,22 +103,41 @@ def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
     # the order the edges are met: ascending v, then ascending u > v.
     rows: list[dict[int, float]] = [{} for _ in range(k)]
     adj, weights, loops = g.adj, g.weights, g.self_loops
-    for v in range(g.n):
-        cv = node_super[v]
-        own = rows[cv]
-        loop = self_loops[cv] + loops[v]
-        nbrs = adj[v]
-        above = bisect_right(nbrs, v)  # meet each edge once, from its lower end
-        for u, w in zip(nbrs[above:], weights[v][above:]):
-            cu = node_super[u]
-            if cu == cv:
-                loop += 2.0 * w
-            elif cu > cv:
-                own[cu] = own.get(cu, 0.0) + w
-            else:
-                row = rows[cu]
-                row[cv] = row.get(cv, 0.0) + w
-        self_loops[cv] = loop
+    if g.unit:
+        # The loop below with w = 1.0, without reading a weight.
+        for v in range(g.n):
+            cv = node_super[v]
+            own = rows[cv]
+            loop = self_loops[cv] + loops[v]
+            nbrs = adj[v]
+            above = bisect_right(nbrs, v)  # meet each edge once, from its lower end
+            for u in nbrs[above:]:
+                cu = node_super[u]
+                if cu == cv:
+                    loop += 2.0
+                elif cu > cv:
+                    own[cu] = own.get(cu, 0.0) + 1.0
+                else:
+                    row = rows[cu]
+                    row[cv] = row.get(cv, 0.0) + 1.0
+            self_loops[cv] = loop
+    else:
+        for v in range(g.n):
+            cv = node_super[v]
+            own = rows[cv]
+            loop = self_loops[cv] + loops[v]
+            nbrs = adj[v]
+            above = bisect_right(nbrs, v)
+            for u, w in zip(nbrs[above:], weights[v][above:]):
+                cu = node_super[u]
+                if cu == cv:
+                    loop += 2.0 * w
+                elif cu > cv:
+                    own[cu] = own.get(cu, 0.0) + w
+                else:
+                    row = rows[cu]
+                    row[cv] = row.get(cv, 0.0) + w
+            self_loops[cv] = loop
 
     # Appending the rows in ascending (a, b) order leaves every list sorted:
     # list a holds its lower neighbors, appended from earlier rows, before
@@ -138,7 +162,8 @@ def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
 def _excess_weights(g: Graph, w2: float) -> dict[int, list[tuple[int, float]]] | None:
     """Each vertex's entries of weight other than 1.0, as (neighbor, weight - 1.0).
 
-    The dict is empty when every weight is 1.0.  ``None`` tells
+    The dict is empty when every weight is 1.0, returned at once on a unit
+    graph (:attr:`Graph.unit`) without reading a row.  ``None`` tells
     :func:`_local_moves` to sum weights in a loop instead: on a level with a
     weight that is fractional, negative or not finite, with a total ``w2``
     of ``2**52`` or more, or with more than a quarter of its adjacency
@@ -147,6 +172,8 @@ def _excess_weights(g: Graph, w2: float) -> dict[int, list[tuple[int, float]]] |
     Every vertex's row is read, a row that several vertices share once per
     holder, until the count passes a quarter of the entries.
     """
+    if g.unit:
+        return {}
     weights = g.weights
     entries = 2 * g.m
     heavy = 0
@@ -154,8 +181,6 @@ def _excess_weights(g: Graph, w2: float) -> dict[int, list[tuple[int, float]]] |
         heavy += len(ws) - ws.count(1.0)
         if 4 * heavy > entries:
             return None
-    if not heavy:
-        return {}
     if not w2 < 2.0**52:
         return None
     excess = {}
@@ -204,7 +229,10 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
     tie is the one of the loop in adjacency order, which the other levels
     keep.  The cut-off is measured: er-ins super-vertex levels above 300
     vertices have 1.4-16 % such entries and count faster; planted ones have
-    57-100 %, where counting took about twice as long as the loop.
+    57-100 %, where counting took about twice as long as the loop.  A unit
+    level (:attr:`Graph.unit`), every input graph's level 0, reads no
+    weight row: a vertex's strength is ``float(degree)`` plus its
+    self-loop, the exact sum of its row of ones.
 
     A popped vertex is skipped when it is unmarked or while its certificate
     holds.  Each test proves that it would stay, so the moves are those of
@@ -260,7 +288,9 @@ def _local_moves(g: Graph, initial: list[int] | None = None) -> list[int]:
     n = g.n
     partition = list(range(n)) if initial is None else list(initial)
     adj, weights = g.adj, g.weights
-    strength = list(map(add, map(sum, weights), g.self_loops))
+    # A unit row sums to its degree, exactly.
+    row_sums = map(float, map(len, adj)) if g.unit else map(sum, weights)
+    strength = list(map(add, row_sums, g.self_loops))
     # Equal strengths share one float, one per degree on an input graph, so
     # the level holds its distinct strengths instead of n floats.
     strength = list(map({}.setdefault, strength, strength))

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from commspread import Cover, GraphParseError, load_edge_list, modularity
+from commspread import Cover, Graph, GraphParseError, load_edge_list, modularity
+from commspread.refine import reduce_graph
 
 from conftest import graph, load_dataset
 from oracles import edges, graph_from_edges, weighted_graph
@@ -174,3 +175,35 @@ def test_weighted_graph_modularity_counts_self_loops_in_strength():
     assert g.self_loops[0] == 4.0
     assert (g.adj[1], g.weights[1]) == ([0, 2], [2.0, 0.5])
     assert g.sample_edges(1.0, seed=0) == g  # weights and self-loops kept
+
+
+def test_loaded_graphs_their_samples_and_the_empty_graph_are_unit(karate):
+    assert karate.unit
+    assert all(karate.sample_edges(f, seed=4).unit for f in (0.25, 0.5, 1.0))
+    assert graph("").unit
+
+
+def test_contraction_with_unit_cross_weights_is_unit_whatever_its_self_loops():
+    # Path a-b-c-d: {a, b} and {c, d} each keep a self-loop of 2.0, and
+    # the edge b-c becomes a cross weight of 1.0.
+    reduced = reduce_graph(graph("a b\nb c\nc d\n"), Cover([0, 0, 2, 2])).graph
+    assert reduced.self_loops == [2.0, 2.0]
+    assert reduced.weights == [[1.0], [1.0]]
+    assert reduced.unit
+
+
+def test_a_shared_row_holding_a_two_is_not_unit():
+    # Square a-b-c-d-a: every node has degree 2 and one row object.
+    g = graph("a b\nb c\nc d\nd a\n")
+    assert len({id(w) for w in g.weights}) == 1
+    row = [1.0, 2.0]
+    heavy = Graph(adj=g.adj, weights=[row] * g.n, self_loops=list(g.self_loops), labels=[])
+    assert not heavy.unit
+
+
+def test_contraction_above_one_and_fractional_copy_are_not_unit():
+    # Star a-b, a-c: contracting {b, c} leaves a cross weight of 2.0.
+    reduced = reduce_graph(graph("a b\na c\n"), Cover([0, 1, 1])).graph
+    assert reduced.weights == [[2.0], [2.0]]
+    assert not reduced.unit
+    assert not weighted_graph({(0, 1): 1.0, (1, 2): 0.5}, [0.0, 0.0, 0.0]).unit

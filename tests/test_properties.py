@@ -91,6 +91,16 @@ def fractional_copy(g: Graph, data) -> Graph:
     )
 
 
+def looped_copy(g: Graph, data) -> Graph:
+    """``g``'s adjacency and unit rows with a drawn self-loop in [0.01, 4] on every node.
+
+    The copy is a unit graph whose self-loops are fractional, so every
+    float sum that includes one depends on its order.
+    """
+    loops = [data.draw(st.floats(0.01, 4.0)) for _ in range(g.n)]
+    return Graph(adj=g.adj, weights=g.weights, self_loops=loops, labels=[])
+
+
 def covers(g: Graph, unassigned: bool = False):
     """Random covers of ``g`` with up to four labels, optionally with -1."""
     low = UNASSIGNED if unassigned else 0
@@ -180,8 +190,11 @@ def test_refine_cover_depends_only_on_label_order(g, data):
 def test_local_moves_equal_the_full_pass_oracle(g, data):
     # Skipping clean vertices in closing passes must make the same moves as
     # evaluating every vertex: same partition from singletons and from a
-    # cover with labels above n, on the graph and two weighted levels.
-    for level in levels(g, data):
+    # cover with labels above n, on the graph, two weighted levels and a
+    # unit copy with self-loops, whose strengths come from its degrees.
+    looped = looped_copy(g, data)
+    assert looped.unit
+    for level in (*levels(g, data), looped):
         assert _local_moves(level) == local_moves(level)
         initial = data.draw(wide_covers(level))
         assert _local_moves(level, initial) == local_moves(level, initial)
@@ -245,10 +258,13 @@ def test_contraction_preserves_modularity(g, data):
 @given(MIXED_GRAPHS, st.data())
 def test_contraction_equals_dict_and_sort_oracle(g, data):
     # Each level is contracted from a cover with unassigned nodes and from
-    # one with labels above n.
+    # one with labels above n.  The unit graph and its copy with self-loops
+    # take the weightless body, the other two the weighted one.
+    looped = looped_copy(g, data)
+    assert g.unit and looped.unit
     fractional = fractional_copy(g, data)
     contracted = oracles.reduce_graph(fractional, data.draw(covers(fractional))).graph
-    for level in (g, fractional, contracted):
+    for level in (g, looped, fractional, contracted):
         with_unassigned = data.draw(covers(level, unassigned=True))
         for cover in (with_unassigned, Cover(data.draw(wide_covers(level)))):
             got, expected = reduce_graph(level, cover), oracles.reduce_graph(level, cover)
