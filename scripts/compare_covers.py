@@ -31,7 +31,9 @@ themselves by their own ``_local_moves`` partition: integral weights, few
 of them above 1.0 on the G(n, m) graph and most on the planted one.
 Graphs built by the loader are unit graphs (``Graph.unit``), so their
 local moves take strengths from degrees and their ``reduce_graph`` digests
-come from the loop that reads no weight, while the fractional copies and
+come from the loop that reads no weight and counts cross weights in ints
+(a count that reached a contracted graph as an int would print as ``1``,
+not ``1.0``, in its digest), while the fractional copies and
 the level-1 graphs, which hold weights other than 1.0, take the weighted
 path.
 The random and 2000-node graphs are built by ``load_edge_list`` from

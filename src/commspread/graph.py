@@ -147,10 +147,11 @@ def load_edge_list(stream: Iterable[str]) -> Graph:
     with ``#``, so only a first appearance is checked for one.
 
     Each edge is appended to both endpoints' lists as it is read.  Each
-    list is then replaced by a sorted copy of exact size, and only a list
-    that repeats a neighbor is deduplicated: a repeated edge shrinks each
-    of its two endpoints' lists by one.  Nodes of equal degree share one
-    unit-weight row, so the rows hold at most 2m entries in all.
+    list is then sorted in place, with no second copy, and only a list
+    that repeats a neighbor is replaced by a deduplicated one: a repeated
+    edge shrinks each of its two endpoints' lists by one.  Nodes of equal
+    degree share one unit-weight row, so the rows hold at most 2m entries
+    in all.
     """
     index: dict[str, int] = {}
     adj: list[list[int]] = []
@@ -186,11 +187,11 @@ def load_edge_list(stream: Iterable[str]) -> Graph:
     shrinkage = 0
     degrees: list[int] = []
     for u, nbrs in enumerate(adj):
-        ordered = adj[u] = sorted(nbrs)
-        unique = set(ordered)
-        if len(unique) != len(ordered):
+        nbrs.sort()
+        unique = set(nbrs)
+        if len(unique) != len(nbrs):
             adj[u] = sorted(unique)
-            shrinkage += len(ordered) - len(unique)
+            shrinkage += len(nbrs) - len(unique)
         degrees.append(len(unique))
     rows = {d: [1.0] * d for d in set(degrees)}
     return Graph(

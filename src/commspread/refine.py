@@ -61,6 +61,14 @@ def post_process(g: Graph, cover: Cover, node_type: list[NodeType]) -> Cover:
     return Cover(assignment)
 
 
+class _FloatOf(dict):
+    """``table[k]`` is ``float(k)``, one float object per distinct ``k``."""
+
+    def __missing__(self, k: int) -> float:
+        w = self[k] = float(k)
+        return w
+
+
 @dataclass
 class ReducedGraph:
     """Weighted super-vertex graph obtained by contracting a cover.
@@ -84,8 +92,11 @@ def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
 
     A unit graph (:attr:`Graph.unit`, such as every input graph) is
     contracted by a loop that reads no weight: it adds 2.0 to a self-loop
-    and 1.0 to a cross weight per edge, in the same order as the weighted
-    loop, so every sum is the same float.
+    per edge, in the same order as the weighted loop, and counts each cross
+    weight in a small int.  Each emitted count ``k`` becomes ``float(k)``,
+    the float sum of ``k`` ones, taken from a table of one float per
+    distinct count, so the contracted graph holds the same floats as the
+    weighted loop's and no float object per cross pair.
     """
     # Ascending node order meets each community first at its smallest member.
     super_of_label: dict[int, int] = {}
@@ -103,8 +114,11 @@ def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
     # the order the edges are met: ascending v, then ascending u > v.
     rows: list[dict[int, float]] = [{} for _ in range(k)]
     adj, weights, loops = g.adj, g.weights, g.self_loops
+    weight_of = None
     if g.unit:
-        # The loop below with w = 1.0, without reading a weight.
+        # The loop below with w = 1.0, without reading a weight; cross
+        # weights are counted in ints and converted when emitted.
+        weight_of = _FloatOf().__getitem__
         for v in range(g.n):
             cv = node_super[v]
             own = rows[cv]
@@ -116,10 +130,10 @@ def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
                 if cu == cv:
                     loop += 2.0
                 elif cu > cv:
-                    own[cu] = own.get(cu, 0.0) + 1.0
+                    own[cu] = own.get(cu, 0) + 1
                 else:
                     row = rows[cu]
-                    row[cv] = row.get(cv, 0.0) + 1.0
+                    row[cv] = row.get(cv, 0) + 1
             self_loops[cv] = loop
     else:
         for v in range(g.n):
@@ -146,7 +160,8 @@ def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
     out_weights: list[list[float]] = [[] for _ in range(k)]
     for a, row in enumerate(rows):
         ends = sorted(row)
-        ws = list(map(row.__getitem__, ends))
+        sums = map(row.__getitem__, ends)
+        ws = list(sums if weight_of is None else map(weight_of, sums))
         out_adj[a] += ends
         out_weights[a] += ws
         for b, w in zip(ends, ws):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from commspread import Cover, Graph, GraphParseError, load_edge_list, modularity
-from commspread.refine import reduce_graph
+from commspread.refine import _local_moves, reduce_graph
 
 from conftest import graph, load_dataset
 from oracles import edges, graph_from_edges, weighted_graph
@@ -28,6 +28,15 @@ def test_nodes_of_equal_degree_share_one_unit_row(name):
     assert len({id(w) for w in g.weights}) == len(set(map(len, g.adj)))
     for v, row in enumerate(g.weights):
         assert row == [1.0] * len(g.adj[v])
+
+
+@pytest.mark.parametrize("name", ["karate", "lesmis", "walkthrough13"])
+def test_contraction_shares_one_float_per_cross_weight(name):
+    g = load_dataset(name)
+    reduced = reduce_graph(g, Cover(_local_moves(g))).graph
+    cross = [w for ws in reduced.weights for w in ws]
+    assert len({id(w) for w in cross}) == len(set(cross))
+    assert all(type(w) is float for w in cross)
 
 
 def test_comments_and_blank_lines_ignored():

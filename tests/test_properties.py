@@ -271,6 +271,9 @@ def test_contraction_equals_dict_and_sort_oracle(g, data):
             for field in ("adj", "weights", "self_loops"):
                 assert getattr(got.graph, field) == getattr(expected.graph, field), field
             assert got.member_map == expected.member_map
+            # An int count would pass == against the oracle's float.
+            floats = [*got.graph.self_loops, *(w for ws in got.graph.weights for w in ws)]
+            assert all(type(w) is float for w in floats)
 
 
 @settings(deadline=None)
