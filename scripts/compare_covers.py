@@ -52,8 +52,9 @@ is 1.
 
 Each digest run also counts two kinds of work, each if its tree has the
 name: the calls of ``refine._count_elements``, one per broker scored by
-the allocation and one per local-move evaluation on a level that counts
-neighbor labels, and the adjacency entries read by
+the allocation, one per local-move evaluation on a level that counts
+neighbor labels and one per super-vertex row built by the contraction of
+a unit graph, and the adjacency entries read by
 ``refine._mark_next_to``, the local moves' sweeps of a community that
 lost a member.  The summary prints both trees' totals, work measures
 that need no instrumented copy; they do not change the exit status.

@@ -44,15 +44,17 @@ def _utf8_lines(lines):
 def _parse_utf8(path: str, parse):
     """``parse`` applied to the lines of ``path`` read as UTF-8 text.
 
-    Text mode splits lines at every newline convention.  If the file is not
-    valid UTF-8 it is read again and checked line by line in file order, so
-    the first bad line is named, whether it is malformed or not UTF-8.
+    Text mode splits lines at every newline convention, and a leading
+    byte-order mark is dropped, so it never becomes part of the first
+    label.  If the file is not valid UTF-8 it is read again and checked line
+    by line in file order, so the first bad line is named, whether it is
+    malformed or not UTF-8.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return parse(fh)
     except UnicodeDecodeError:
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
             return parse(_utf8_lines(fh))
 
 

@@ -92,11 +92,16 @@ def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
 
     A unit graph (:attr:`Graph.unit`, such as every input graph) is
     contracted by a loop that reads no weight: it adds 2.0 to a self-loop
-    per edge, in the same order as the weighted loop, and counts each cross
-    weight in a small int.  Each emitted count ``k`` becomes ``float(k)``,
-    the float sum of ``k`` ones, taken from a table of one float per
-    distinct count, so the contracted graph holds the same floats as the
-    weighted loop's and no float object per cross pair.
+    per edge, in the same order as the weighted loop, and appends the other
+    end of each cross edge to a list at both ends.  A second loop then turns
+    each list into its row in one step, at its final size: it counts the
+    list into a transient dict, frees the list and emits the sorted ends
+    with their counts.  Each count ``k`` becomes ``float(k)``, the float
+    sum of ``k`` ones, taken from a table of one float per distinct count,
+    so the contracted graph holds the same floats as the weighted loop's
+    and no float object per cross pair; the rows whose counts are all 1
+    share one weight row per length.  No dict of cross weights outlives
+    its row, and no row grows after it is built.
     """
     # Ascending node order meets each community first at its smallest member.
     super_of_label: dict[int, int] = {}
@@ -110,18 +115,14 @@ def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
 
     k = len(super_of_label)
     self_loops = [0.0] * k
-    # rows[a][b] is the cross weight between super-vertices a < b, summed in
-    # the order the edges are met: ascending v, then ascending u > v.
-    rows: list[dict[int, float]] = [{} for _ in range(k)]
     adj, weights, loops = g.adj, g.weights, g.self_loops
-    weight_of = None
     if g.unit:
-        # The loop below with w = 1.0, without reading a weight; cross
-        # weights are counted in ints and converted when emitted.
-        weight_of = _FloatOf().__getitem__
+        # The loop below with w = 1.0, without reading a weight; crossing[a]
+        # lists the far end of every cross edge at a, once per edge.
+        crossing: list[list[int] | None] = [[] for _ in range(k)]
         for v in range(g.n):
             cv = node_super[v]
-            own = rows[cv]
+            own = crossing[cv]
             loop = self_loops[cv] + loops[v]
             nbrs = adj[v]
             above = bisect_right(nbrs, v)  # meet each edge once, from its lower end
@@ -129,13 +130,34 @@ def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
                 cu = node_super[u]
                 if cu == cv:
                     loop += 2.0
-                elif cu > cv:
-                    own[cu] = own.get(cu, 0) + 1
                 else:
-                    row = rows[cu]
-                    row[cv] = row.get(cv, 0) + 1
+                    own.append(cu)
+                    crossing[cu].append(cv)
             self_loops[cv] = loop
+        weight_of = _FloatOf().__getitem__
+        ones = [weight_of(1)]
+        # Rows of ones are shared per length, as the loader shares its rows.
+        ones_rows: dict[int, list[float]] = {}
+        out_adj: list[list[int]] = []
+        out_weights: list[list[float]] = []
+        for a, ends in enumerate(crossing):
+            counts: dict[int, int] = {}
+            _count_elements(counts, ends)
+            crossing[a] = None
+            row = sorted(counts)
+            out_adj.append(row)
+            d = len(row)
+            if d == len(ends):  # every count is 1
+                ws = ones_rows.get(d)
+                if ws is None:
+                    ws = ones_rows[d] = ones * d
+            else:
+                ws = list(map(weight_of, map(counts.__getitem__, row)))
+            out_weights.append(ws)
     else:
+        # rows[a][b] is the cross weight between super-vertices a < b, summed
+        # in the order the edges are met: ascending v, then ascending u > v.
+        rows: list[dict[int, float]] = [{} for _ in range(k)]
         for v in range(g.n):
             cv = node_super[v]
             own = rows[cv]
@@ -153,20 +175,19 @@ def reduce_graph(g: Graph, cover: Cover) -> ReducedGraph:
                     row[cv] = row.get(cv, 0.0) + w
             self_loops[cv] = loop
 
-    # Appending the rows in ascending (a, b) order leaves every list sorted:
-    # list a holds its lower neighbors, appended from earlier rows, before
-    # its own row.
-    out_adj: list[list[int]] = [[] for _ in range(k)]
-    out_weights: list[list[float]] = [[] for _ in range(k)]
-    for a, row in enumerate(rows):
-        ends = sorted(row)
-        sums = map(row.__getitem__, ends)
-        ws = list(sums if weight_of is None else map(weight_of, sums))
-        out_adj[a] += ends
-        out_weights[a] += ws
-        for b, w in zip(ends, ws):
-            out_adj[b].append(a)
-            out_weights[b].append(w)
+        # Appending the rows in ascending (a, b) order leaves every list
+        # sorted: list a holds its lower neighbors, appended from earlier
+        # rows, before its own row.
+        out_adj = [[] for _ in range(k)]
+        out_weights = [[] for _ in range(k)]
+        for a, row in enumerate(rows):
+            ends = sorted(row)
+            ws = list(map(row.__getitem__, ends))
+            out_adj[a] += ends
+            out_weights[a] += ws
+            for b, w in zip(ends, ws):
+                out_adj[b].append(a)
+                out_weights[b].append(w)
 
     return ReducedGraph(
         graph=Graph(adj=out_adj, weights=out_weights, self_loops=self_loops, labels=[]),

@@ -20,6 +20,9 @@ def walkthrough_path(tmp_path):
     return dst
 
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -182,6 +185,8 @@ def test_non_utf8_edge_list_exits_2_naming_the_line(capsys, tmp_path, monkeypatc
         (b"a b\nc\nd \xff\n", "line 2: expected 2 tokens, found 1: 'c'"),
         (b"a b\nd \xff\nc\n", "line 2: not valid UTF-8 (invalid start byte at byte 2)"),
         (b"a b\nb \xc3\xa9 \xff\n", "line 2: not valid UTF-8 (invalid start byte at byte 5)"),
+        # A byte-order mark is not part of line 1: the offset counts from after it.
+        (BOM + b"a \xff\nb c\n", "line 1: not valid UTF-8 (invalid start byte at byte 2)"),
     ]:
         bad.write_bytes(data)
         code, stdout, stderr = run_cli(capsys, command[0], "--input", str(bad), *command[1:])
@@ -265,6 +270,34 @@ def test_lone_cr_line_ends_split_lines(capsys, tmp_path):
     code, _, stderr = run_cli(capsys, "eval", "--input", str(edges), "--cover", str(cover))
     assert code == 2
     assert "line 2: not valid UTF-8" in stderr
+
+
+def test_byte_order_mark_is_not_part_of_the_first_label(capsys, tmp_path):
+    # A copy of karate that starts with a UTF-8 byte-order mark gives the
+    # same graph, cover file and summary line (up to the time) as the plain one.
+    plain = DATA_DIR / "karate.txt"
+    marked = tmp_path / "karate-bom.txt"
+    marked.write_bytes(BOM + plain.read_bytes())
+    results = []
+    for path in (plain, marked):
+        cover = tmp_path / f"{path.stem}.tsv"
+        code, stdout, _ = run_cli(
+            capsys, "detect", "--input", str(path), "--method", "cond", "--output", str(cover)
+        )
+        assert code == 0
+        results.append((stdout.split("\t")[:4], cover.read_bytes()))
+    assert results[0] == results[1]
+    assert results[0][0][:2] == ["34", "78"]
+
+
+def test_eval_reads_a_cover_with_a_byte_order_mark(capsys, tmp_path):
+    edges = tmp_path / "g.txt"
+    edges.write_bytes(BOM + b"a b\nb c\nc a\nc d\n")
+    cover = tmp_path / "cover.tsv"
+    cover.write_bytes(BOM + b"a\t0\nb\t0\nc\t0\nd\t1\n")
+    code, stdout, _ = run_cli(capsys, "eval", "--input", str(edges), "--cover", str(cover))
+    assert code == 0
+    assert stdout.splitlines()[1:3] == ["k\t2", "sizes\t0:3\t1:1"]
 
 
 def test_eval_reports_cover_quality(capsys, tmp_path, walkthrough_path):

@@ -37,6 +37,9 @@ def test_contraction_shares_one_float_per_cross_weight(name):
     cross = [w for ws in reduced.weights for w in ws]
     assert len({id(w) for w in cross}) == len(set(cross))
     assert all(type(w) is float for w in cross)
+    # Rows of ones share one list per length: walkthrough13's three of length 2.
+    ones = [ws for ws in reduced.weights if ws.count(1.0) == len(ws)]
+    assert len({id(ws) for ws in ones}) == len(set(map(len, ones)))
 
 
 def test_comments_and_blank_lines_ignored():
