@@ -71,7 +71,7 @@ def _resolve_start(g: Graph, value: str) -> int | None:
     if value == "auto":
         return None
     try:
-        return g.id_of(value)
+        return g.labels.index(value)
     except ValueError:
         raise CliError(f"start node {value!r} not present in the graph") from None
 
@@ -130,13 +130,22 @@ def cmd_eval(args) -> int:
 
 
 def _edge_samples(g: Graph, fractions, seed: int) -> list[Graph]:
-    """Every fraction's ``sample_edges`` copy of ``g``, 1.0 included (README, ``bench``)."""
-    try:
-        samples = [g.sample_edges(fraction, seed) for fraction in fractions]
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    if len({sample.m for sample in samples}) < 2:
-        raise CliError("fewer than two distinct edge counts for a linearity fit")
+    """Every fraction's edge sample of the loaded graph ``g``, 1.0 included
+    (README, ``bench``).
+
+    A sample keeps ``int(fraction * g.m)`` edges drawn uniformly without
+    replacement, the same ones for a fixed seed, and every node with its id
+    and label.  It is built by :func:`load_edge_list` from one ``label
+    label`` line per node in id order, then the kept edges in adjacency
+    order, so its load report counts one self-loop per node.
+    """
+    labels = g.labels
+    nodes = [f"{label} {label}" for label in labels]
+    edges = [f"{labels[u]} {labels[v]}" for u, nbrs in enumerate(g.adj) for v in nbrs if u < v]
+    samples = []
+    for fraction in fractions:
+        keep = sorted(random.Random(seed).sample(range(g.m), int(fraction * g.m)))
+        samples.append(load_edge_list(nodes + list(map(edges.__getitem__, keep))))
     return samples
 
 
@@ -174,9 +183,14 @@ def cmd_bench(args) -> int:
         raise CliError(f"bad fraction list {args.fractions!r}") from exc
     if len(set(fractions)) < 2:
         raise CliError("need at least two distinct fractions for a linearity fit")
+    for fraction in fractions:
+        if not 0.0 < fraction <= 1.0:
+            raise CliError(f"fraction must be in (0, 1], got {fraction}")
     if args.repeats < 1:
         raise CliError("repeats must be >= 1")
     samples = _edge_samples(_load_graph(args.input), fractions, args.seed)
+    if len({sample.m for sample in samples}) < 2:
+        raise CliError("fewer than two distinct edge counts for a linearity fit")
     full = args.phase == "full"
     times, results, (slope, intercept, r2) = _time_samples(
         samples, detect if full else run_traversal, cfg, args.repeats
@@ -240,7 +254,7 @@ def cmd_sweep_start(args) -> int:
         result = detect(g, dataclasses.replace(cfg, start=v))
         q = modularity(g, result.cover)
         qs.append(q)
-        print(f"{g.label_of(v)},{g.degree(v)},{q:.6f},{result.cover.k}")
+        print(f"{g.labels[v]},{len(g.adj[v])},{q:.6f},{result.cover.k}")
     mean = statistics.fmean(qs)
     stddev = statistics.pstdev(qs)
     rsd = stddev / mean if mean else float("inf")

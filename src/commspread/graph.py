@@ -2,7 +2,8 @@
 
 Every graph, input or contracted, has one layout: sorted adjacency lists,
 parallel edge weights and a per-node self-loop weight.  Input graphs have
-one builder, :func:`load_edge_list`.  They are simple, so they carry unit
+one builder, :func:`load_edge_list`, and so have the edge samples that the
+``bench`` command times.  They are simple, so they carry unit
 weights and zero self-loops, and all nodes of one degree share a single
 unit-weight row; the reduced graphs produced by :mod:`commspread.refine`
 carry contracted weights.  Nothing mutates a graph's lists once it is
@@ -11,7 +12,6 @@ built, so :attr:`Graph.unit` is computed once per graph.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -38,12 +38,14 @@ class Graph:
     """Undirected weighted graph in compressed adjacency form.
 
     ``adj[v]`` is the sorted list of internal neighbor ids of ``v`` (never
-    ``v`` itself) and ``weights[v]`` is parallel to it.  Rows may be shared:
-    on an input graph, every node of degree ``d`` holds the same
-    ``[1.0] * d`` list, so no code may mutate a row.  ``self_loops[v]`` is
-    the self-loop weight of ``v``.  ``labels`` maps dense internal ids to
-    the external string labels; it is empty on contracted graphs, whose
-    nodes are known only by id.  :attr:`unit` is derived, never passed.
+    ``v`` itself), so ``len(adj[v])`` is its degree, and ``weights[v]`` is
+    parallel to it.  Rows may be shared: on an input graph, every node of
+    degree ``d`` holds the same ``[1.0] * d`` list, so no code may mutate a
+    row.  ``self_loops[v]`` is the self-loop weight of ``v``.  ``labels``
+    maps dense internal ids to the external string labels, and
+    ``labels.index(label)`` finds the id of a label by a linear search; it
+    is empty on contracted graphs, whose nodes are known only by id.
+    :attr:`unit` is derived, never passed.
     """
 
     adj: list[list[int]]
@@ -54,8 +56,6 @@ class Graph:
 
     def __post_init__(self):
         self._m = sum(map(len, self.adj)) // 2
-
-    # -- basic queries ----------------------------------------------------
 
     @property
     def n(self) -> int:
@@ -77,54 +77,6 @@ class Graph:
         weights = self.weights
         rows = dict(zip(map(id, weights), weights)).values()
         return all(ws.count(1.0) == len(ws) for ws in rows)
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def id_of(self, label: str) -> int:
-        """Internal id of ``label``, by a linear search of ``labels``.
-
-        Raises ValueError for a label the graph does not have.
-        """
-        return self.labels.index(label)
-
-    def label_of(self, v: int) -> str:
-        return self.labels[v]
-
-    # -- operations ---------------------------------------------------------
-
-    def sample_edges(self, fraction: float, seed: int) -> "Graph":
-        """Uniform edge sample without replacement over the same node set.
-
-        Keeps ``floor(fraction * m)`` edges with their weights, and every
-        node with its self-loop weight.  Deterministic for a fixed seed.
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        all_edges = [
-            (u, v, w)
-            for u in range(self.n)
-            for v, w in zip(self.adj[u], self.weights[u])
-            if u < v
-        ]
-        k = int(fraction * len(all_edges))
-        rng = random.Random(seed)
-        keep = all_edges if k == len(all_edges) else rng.sample(all_edges, k)
-        # Appending the kept edges in ascending (u, v) order leaves every
-        # adjacency list sorted.
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        weights: list[list[float]] = [[] for _ in range(self.n)]
-        for u, v, w in sorted(keep):
-            adj[u].append(v)
-            weights[u].append(w)
-            adj[v].append(u)
-            weights[v].append(w)
-        return Graph(
-            adj=adj,
-            weights=weights,
-            self_loops=list(self.self_loops),
-            labels=self.labels,
-        )
 
 
 def load_edge_list(stream: Iterable[str]) -> Graph:

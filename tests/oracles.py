@@ -106,9 +106,9 @@ def conductance_args(g: Graph, members: set[int], target: int) -> tuple[int, int
     target degree, target edges into the cluster, cluster volume, outside
     volume without the target, and cut edges not incident on the target.
     """
-    k_t = g.degree(target)
+    k_t = len(g.adj[target])
     k_ts = sum(1 for u in g.adj[target] if u in members)
-    volume = sum(g.degree(v) for v in members)
+    volume = sum(len(g.adj[v]) for v in members)
     cut = sum(1 for u, v in edges(g) if (u in members) != (v in members))
     return k_t, k_ts, volume, 2 * g.m - volume - k_t, cut - k_ts
 
@@ -148,13 +148,13 @@ def traversal(g: Graph, cfg: RunConfig) -> tuple[TraversalResult, list[NodeType]
             if cfg.start is not None and not covered[cfg.start]:
                 v = cfg.start
             else:
-                v = min((u for u in range(n) if not covered[u]), key=lambda u: (g.degree(u), u))
+                v = min((u for u in range(n) if not covered[u]), key=lambda u: (len(g.adj[u]), u))
             covered[v] = True
             node_type[v] = NodeType.BROKER
             ins[v] = 0.0
             discovery.append(v)
         processing.append(v)
-        inspections += 1 + g.degree(v)
+        inspections += 1 + len(g.adj[v])
         fresh = [u for u in g.adj[v] if not covered[u]]
         for u in fresh:
             covered[u] = True
@@ -163,7 +163,7 @@ def traversal(g: Graph, cfg: RunConfig) -> tuple[TraversalResult, list[NodeType]
         new_brokers, new_members = [], []
         for u in fresh:
             if cfg.method == "ins":
-                ins[u] = sum(covered[w] for w in g.adj[u]) / g.degree(u)
+                ins[u] = sum(covered[w] for w in g.adj[u]) / len(g.adj[u])
                 joins = ins[u] >= cfg.threshold
             else:
                 joins = lowers_conductance(g, cluster, u)

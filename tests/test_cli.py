@@ -94,6 +94,10 @@ USAGE_ERRORS = [
      "fewer than two distinct edge counts for a linearity fit"),
     ("bench-bad-fraction", "bench --input g.txt --fractions 0.5,1.5",
      "fraction must be in (0, 1], got 1.5"),
+    ("bench-fraction-before-load", "bench --input nope.txt --fractions 0.5,1.5",
+     "fraction must be in (0, 1], got 1.5"),
+    ("bench-zero-fraction", "bench --input g.txt --fractions 0,0.5",
+     "fraction must be in (0, 1], got 0.0"),
     ("bench-bad-fraction-token", "bench --input g.txt --fractions 0.5,x",
      "bad fraction list '0.5,x'"),
     ("bench-zero-repeats", "bench --input g.txt --repeats 0", "repeats must be >= 1"),

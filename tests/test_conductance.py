@@ -31,5 +31,5 @@ def test_degenerate_volumes():
 def test_single_node_cluster_conductance_is_one():
     g = graph_from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
     labels = [0] * g.n
-    labels[g.id_of("a")] = 1
+    labels[g.labels.index("a")] = 1
     assert cover_stats(g, Cover(labels)).conductances[1] == 1.0

@@ -1,4 +1,4 @@
-"""Edge-list ingestion, graph queries and sampling."""
+"""Edge-list ingestion, graph properties and edge samples."""
 
 import io
 import random
@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from commspread import Cover, Graph, GraphParseError, load_edge_list, modularity
+from commspread.cli import _edge_samples
 from commspread.refine import _local_moves, reduce_graph
 
 from conftest import graph, load_dataset
@@ -145,37 +146,42 @@ def test_empty_input_gives_empty_graph():
 
 def test_first_appearance_ids_and_label_roundtrip():
     g = graph("x y\ny z\nz x\n")
-    assert g.id_of("x") == 0 and g.id_of("z") == 2
-    assert g.label_of(1) == "y"
-    with pytest.raises(ValueError):
-        g.id_of("missing")
+    assert g.labels == ["x", "y", "z"]
 
 
 def test_edges_listed_once_sorted():
     g = graph("b a\nc a\nb c\n")
     assert sorted(edges(g)) == [(0, 1), (0, 2), (1, 2)]
-    assert g.degree(0) == 2
+    assert len(g.adj[0]) == 2
 
 
 def test_extra_nodes_preserved_as_isolates():
     g = graph("a b\nc c\n")
-    assert g.n == 3 and g.degree(2) == 0
+    assert g.n == 3 and len(g.adj[2]) == 0
 
 
 def test_sample_edges_floor_count_and_determinism(karate):
-    s1 = karate.sample_edges(0.5, seed=3)
-    s2 = karate.sample_edges(0.5, seed=3)
+    s1, s2 = _edge_samples(karate, (0.5, 0.5), 3)
     assert s1.m == karate.m // 2
-    assert s1.adj == s2.adj
+    assert s1 == s2
     assert s1.n == karate.n  # isolates retained
-    assert karate.sample_edges(1.0, seed=0).adj == karate.adj
-    with pytest.raises(ValueError):
-        karate.sample_edges(0.0, seed=0)
+    assert _edge_samples(karate, (1.0,), 0)[0].adj == karate.adj
 
 
 def test_sample_edges_subset_of_original(karate):
-    s = karate.sample_edges(0.25, seed=9)
+    s = _edge_samples(karate, (0.25,), 9)[0]
     assert set(edges(s)) <= set(edges(karate))
+
+
+def test_samples_keep_every_node_id_and_label():
+    # "z" is isolated and takes an id between the edges' labels.
+    g = graph("b a\nz z\nc#1 b\nd c#1\nné a\na d\n")
+    samples = _edge_samples(g, (0.2, 0.4, 0.6, 0.8, 1.0), 5)
+    assert [s.m for s in samples] == [1, 2, 3, 4, 5]
+    for s in samples:
+        assert (s.n, s.labels) == (g.n, g.labels)
+        assert set(edges(s)) <= set(edges(g))
+    assert samples[-1].adj == g.adj
 
 
 def test_weighted_graph_modularity_counts_self_loops_in_strength():
@@ -186,12 +192,11 @@ def test_weighted_graph_modularity_counts_self_loops_in_strength():
     assert modularity(g, Cover.singletons(g)) == pytest.approx(float(q), rel=1e-15)
     assert g.self_loops[0] == 4.0
     assert (g.adj[1], g.weights[1]) == ([0, 2], [2.0, 0.5])
-    assert g.sample_edges(1.0, seed=0) == g  # weights and self-loops kept
 
 
 def test_loaded_graphs_their_samples_and_the_empty_graph_are_unit(karate):
     assert karate.unit
-    assert all(karate.sample_edges(f, seed=4).unit for f in (0.25, 0.5, 1.0))
+    assert all(s.unit for s in _edge_samples(karate, (0.25, 0.5, 1.0), 4))
     assert graph("").unit
 
 

@@ -18,6 +18,7 @@ from commspread import (
     modularity,
     run_traversal,
 )
+from commspread.cli import _edge_samples
 from commspread.cover import UNASSIGNED
 from commspread.refine import (
     MOVE_TOLERANCE,
@@ -279,26 +280,17 @@ def test_contraction_equals_dict_and_sort_oracle(g, data):
 @settings(deadline=None)
 @given(
     MIXED_GRAPHS,
-    st.data(),
     st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0]),
     st.integers(0, 2**32),
 )
-def test_sample_edges_equals_dict_and_sort_oracle(g, data, fraction, seed):
-    for level in (g, fractional_copy(g, data)):
-        population = [
-            (u, v, w)
-            for u, nbrs in enumerate(level.adj)
-            for v, w in zip(nbrs, level.weights[u])
-            if u < v
-        ]
-        keep = random.Random(seed).sample(population, int(fraction * len(population)))
-        expected = oracles.weighted_graph(
-            {(u, v): w for u, v, w in keep}, list(level.self_loops)
-        )
-        got = level.sample_edges(fraction, seed)
-        for field in ("adj", "weights", "self_loops"):
-            assert getattr(got, field) == getattr(expected, field), field
-        assert got.labels == level.labels
+def test_sample_edges_equals_dict_and_sort_oracle(g, fraction, seed):
+    population = sorted(oracles.edges(g))
+    keep = random.Random(seed).sample(population, int(fraction * len(population)))
+    labels = g.labels
+    expected = graph_from_edges(
+        [(lab, lab) for lab in labels] + [(labels[u], labels[v]) for u, v in keep]
+    )
+    assert _edge_samples(g, (fraction,), seed)[0] == expected
 
 
 @settings(deadline=None)

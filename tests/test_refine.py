@@ -63,7 +63,7 @@ def test_post_process_assigns_broker_to_best_community():
     # Brokers x: two neighbors in community 0 (size 3) vs one in community 1
     # (size 2): probabilities 2/3 vs 1/2, so x joins community 0.
     g = graph("a b\nb c\nd e\nx a\nx b\nx d\n")
-    ids = {lab: g.id_of(lab) for lab in "abcdex"}
+    ids = {lab: g.labels.index(lab) for lab in "abcdex"}
     cover = cover_by_label(g, {"a": 0, "b": 0, "c": 0, "d": 1, "e": 1, "x": ids["x"]})
     types = [NodeType.COMMUNITY] * g.n
     types[ids["x"]] = NodeType.BROKER
@@ -74,7 +74,7 @@ def test_post_process_assigns_broker_to_best_community():
 
 def test_post_process_tie_leaves_broker_unassigned():
     g = graph("a b\nc d\nx a\nx c\n")
-    ids = {lab: g.id_of(lab) for lab in "abcdx"}
+    ids = {lab: g.labels.index(lab) for lab in "abcdx"}
     cover = cover_by_label(g, {"a": 0, "b": 0, "c": 1, "d": 1, "x": ids["x"]})
     types = [NodeType.COMMUNITY] * g.n
     types[ids["x"]] = NodeType.BROKER
@@ -86,7 +86,7 @@ def test_post_process_tie_leaves_broker_unassigned():
 def test_post_process_broker_only_cluster_not_eligible():
     # x's only neighbors form a broker-only cluster, which cannot receive it.
     g = graph("a b\nx a\n")
-    ids = {lab: g.id_of(lab) for lab in "abx"}
+    ids = {lab: g.labels.index(lab) for lab in "abx"}
     cover = cover_by_label(g, {"a": 5, "b": 5, "x": ids["x"]})
     types = [NodeType.BROKER, NodeType.BROKER, NodeType.BROKER]
     out = post_process(g, cover, types)
@@ -95,7 +95,7 @@ def test_post_process_broker_only_cluster_not_eligible():
 
 def test_post_process_seeding_broker_keeps_label():
     g = graph("a b\nb c\n")
-    ids = {lab: g.id_of(lab) for lab in "abc"}
+    ids = {lab: g.labels.index(lab) for lab in "abc"}
     cover = cover_by_label(g, {"a": ids["a"], "b": ids["a"], "c": ids["a"]})
     types = [NodeType.BROKER, NodeType.COMMUNITY, NodeType.COMMUNITY]
     out = post_process(g, cover, types)

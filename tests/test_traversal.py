@@ -21,15 +21,15 @@ def test_config_validation():
 def test_start_defaults_to_lowest_degree_node():
     g = graph("a b\nb c\nc d\nc a\n")  # degrees a2 b2 c3 d1
     res = run_traversal(g, RunConfig(), trace=True)
-    assert res.processing_order[0] == g.id_of("d")
-    assert res.node_type[g.id_of("d")] == NodeType.BROKER
-    assert res.ins[g.id_of("d")] == 0.0
+    assert res.processing_order[0] == g.labels.index("d")
+    assert res.node_type[g.labels.index("d")] == NodeType.BROKER
+    assert res.ins[g.labels.index("d")] == 0.0
 
 
 def test_start_override_and_range_check():
     g = graph("a b\nb c\n")
-    res = run_traversal(g, RunConfig(start=g.id_of("b")), trace=True)
-    assert res.processing_order[0] == g.id_of("b")
+    res = run_traversal(g, RunConfig(start=g.labels.index("b")), trace=True)
+    assert res.processing_order[0] == g.labels.index("b")
     with pytest.raises(ValueError):
         run_traversal(g, RunConfig(start=5))
 
@@ -46,7 +46,7 @@ def test_disconnected_graph_restarts_from_lowest_degree():
     res = run_traversal(g, RunConfig(), trace=True)
     assert all(res.community[c] == c for c in res.community)
     # The second component's entry node is again a broker with score 0.
-    starts = [v for v in (g.id_of("x"), g.id_of("y")) if res.ins[v] == 0.0]
+    starts = [v for v in (g.labels.index("x"), g.labels.index("y")) if res.ins[v] == 0.0]
     assert starts, "restart node must carry score 0"
 
 
@@ -55,26 +55,26 @@ def test_queue_drains_before_stack():
     # 1/2 < 0.75 and go on the stack (a below b).  Popping b discovers the
     # community node y, which must be processed before a is popped.
     g = graph("c a\nc b\na x\nb y\n")
-    res = run_traversal(g, RunConfig(threshold=0.75, start=g.id_of("c")), trace=True)
+    res = run_traversal(g, RunConfig(threshold=0.75, start=g.labels.index("c")), trace=True)
     # x is covered while a is processed, which completes the cover, so x
     # itself is never popped.
-    ids = [g.id_of(x) for x in ("c", "b", "y", "a")]
+    ids = [g.labels.index(x) for x in ("c", "b", "y", "a")]
     assert res.processing_order == ids
 
 
 def test_threshold_is_strict_lower_bound():
     # A node with score exactly r is a community node (broker iff score < r).
     g = graph("a b\nb c\n")
-    res = run_traversal(g, RunConfig(threshold=0.5, start=g.id_of("a")), trace=True)
-    b = g.id_of("b")
+    res = run_traversal(g, RunConfig(threshold=0.5, start=g.labels.index("a")), trace=True)
+    b = g.labels.index("b")
     assert res.ins[b] == pytest.approx(0.5)
     assert res.node_type[b] == NodeType.COMMUNITY
 
 
 def test_community_labels_follow_discovering_broker():
     g = graph("a b\na c\nb c\nc d\n")
-    res = run_traversal(g, RunConfig(threshold=0.5, start=g.id_of("a")))
-    a, b, c = g.id_of("a"), g.id_of("b"), g.id_of("c")
+    res = run_traversal(g, RunConfig(threshold=0.5, start=g.labels.index("a")))
+    a, b, c = g.labels.index("a"), g.labels.index("b"), g.labels.index("c")
     assert res.community[b] == res.community[c] == res.community[a]
 
 
@@ -84,7 +84,7 @@ def test_inspection_counter_bound():
         for _ in range(15):
             g = random_graph(rng, rng.randrange(1, 25), rng.random())
             res = run_traversal(g, RunConfig(method=method), trace=True)
-            expected = sum(1 + g.degree(v) for v in res.processing_order)
+            expected = sum(1 + len(g.adj[v]) for v in res.processing_order)
             assert res.inspections == expected
             assert res.inspections <= 2 * g.m + g.n
 
