@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import functools
 import gc
+import itertools
 import math
 import os
 import random
@@ -140,12 +141,17 @@ def _edge_samples(g: Graph, fractions, seed: int) -> list[Graph]:
     order, so its load report counts one self-loop per node.
     """
     labels = g.labels
-    nodes = [f"{label} {label}" for label in labels]
-    edges = [f"{labels[u]} {labels[v]}" for u, nbrs in enumerate(g.adj) for v in nbrs if u < v]
     samples = []
     for fraction in fractions:
-        keep = sorted(random.Random(seed).sample(range(g.m), int(fraction * g.m)))
-        samples.append(load_edge_list(nodes + list(map(edges.__getitem__, keep))))
+        kept = bytearray(g.m)
+        for i in random.Random(seed).sample(range(g.m), int(fraction * g.m)):
+            kept[i] = 1
+        edges = ((u, v) for u, nbrs in enumerate(g.adj) for v in nbrs if u < v)
+        lines = itertools.chain(
+            (f"{label} {label}" for label in labels),
+            (f"{labels[u]} {labels[v]}" for u, v in itertools.compress(edges, kept)),
+        )
+        samples.append(load_edge_list(lines))
     return samples
 
 

@@ -284,13 +284,15 @@ def test_contraction_equals_dict_and_sort_oracle(g, data):
     st.integers(0, 2**32),
 )
 def test_sample_edges_equals_dict_and_sort_oracle(g, fraction, seed):
+    # The sample keeps the seeded draw from the sorted edge list, every
+    # node under its id and label, and the loader's invariants.
     population = sorted(oracles.edges(g))
-    keep = random.Random(seed).sample(population, int(fraction * len(population)))
-    labels = g.labels
-    expected = graph_from_edges(
-        [(lab, lab) for lab in labels] + [(labels[u], labels[v]) for u, v in keep]
-    )
-    assert _edge_samples(g, (fraction,), seed)[0] == expected
+    k = int(fraction * len(population))
+    s = _edge_samples(g, (fraction,), seed)[0]
+    assert (s.n, s.m, s.labels) == (g.n, k, g.labels)
+    assert sorted(oracles.edges(s)) == sorted(random.Random(seed).sample(population, k))
+    assert all(row == sorted(set(row)) for row in s.adj)
+    assert s.unit and not any(s.self_loops)
 
 
 @settings(deadline=None)
