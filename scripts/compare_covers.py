@@ -17,10 +17,7 @@ labels and load report) and the ``reduce_graph`` results (contracted
 graph and member map) of the singleton cover and of a seeded random
 cover with unassigned nodes.  That cover is shaped like the pipeline's:
 each label is the id of one of its members, so no unassigned node's id is
-a label.  It also digests the structure of the seed-0 edge sample of every
-graph at each of ``SAMPLE_FRACTIONS``: ``Graph.sample_edges`` in trees
-that have it, else the loader-built sample of ``cli._edge_samples``.
-It does so for the shipped datasets and for N seeded random
+a label.  It does so for the shipped datasets and for N seeded random
 graphs (Erdos-Renyi and planted partitions, some with isolated nodes, with
 a few duplicate edges and self-loops in the edge list), and for two fixed
 seeded graphs of 2000 nodes, large enough for local moves to run several
@@ -142,7 +139,6 @@ def loader_lines(rng: random.Random) -> list[str]:
 
 
 MID_SIZE = ("er2000", "planted2000")
-SAMPLE_FRACTIONS = (0.3, 0.7)
 
 
 def mid_size_edges(name: str) -> tuple[list[tuple[str, str]], list[str]]:
@@ -200,15 +196,6 @@ def sha(text: str) -> str:
 def structure(g) -> list:
     """The weighted structure of a graph, which contracted graphs are known by."""
     return [g.adj, g.weights, g.self_loops]
-
-
-def edge_sample(g, fraction: float):
-    """The seed-0 edge sample of ``g`` at ``fraction``, as the tree builds it."""
-    if hasattr(g, "sample_edges"):
-        return g.sample_edges(fraction, seed=0)
-    from commspread.cli import _edge_samples
-
-    return _edge_samples(g, [fraction], 0)[0]
 
 
 def seeded_cover(rng: random.Random, n: int) -> list[int]:
@@ -287,9 +274,6 @@ def digests(graphs: int, seed: int) -> dict[str, tuple[str, float | None]]:
             rg = reduce_graph(g, cover)
             text = json.dumps(structure(rg.graph) + [rg.member_map])
             out[f"{name}/reduce-{cover_name}"] = (sha(text), None)
-        for fraction in SAMPLE_FRACTIONS:
-            text = json.dumps(structure(edge_sample(g, fraction)))
-            out[f"{name}/sample-{fraction}"] = (sha(text), None)
         for alg, run in algorithms.items():
             cover = run(g)
             text = io.StringIO()

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
 import gc
-import itertools
 import math
 import os
 import random
@@ -130,49 +130,24 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _edge_samples(g: Graph, fractions, seed: int) -> list[Graph]:
-    """Every fraction's edge sample of the loaded graph ``g``, 1.0 included
-    (README, ``bench``).
-
-    A sample keeps ``int(fraction * g.m)`` edges drawn uniformly without
-    replacement, the same ones for a fixed seed, and every node with its id
-    and label.  It is built by :func:`load_edge_list` from one ``label
-    label`` line per node in id order, then the kept edges in adjacency
-    order, so its load report counts one self-loop per node.
-    """
-    labels = g.labels
-    samples = []
-    for fraction in fractions:
-        kept = bytearray(g.m)
-        for i in random.Random(seed).sample(range(g.m), int(fraction * g.m)):
-            kept[i] = 1
-        edges = ((u, v) for u, nbrs in enumerate(g.adj) for v in nbrs if u < v)
-        lines = itertools.chain(
-            (f"{label} {label}" for label in labels),
-            (f"{labels[u]} {labels[v]}" for u, v in itertools.compress(edges, kept)),
-        )
-        samples.append(load_edge_list(lines))
-    return samples
-
-
-def _time_samples(samples: list[Graph], run, cfg: RunConfig, rounds: int):
-    """Times ``run(sample, cfg)`` on every sample once per round, back to back,
-    for ``rounds`` rounds (README, ``bench``).  Returns ``times[r][i]`` in ms,
-    each sample's last result and the fit against edge count of each median
-    round share times the median round total: slope and intercept in ms, R^2."""
+def _time_samples(graphs: list[Graph], run, cfg: RunConfig, rounds: int):
+    """Times ``run(g, cfg)`` on every graph once per round, back to back, for
+    ``rounds`` rounds (README, ``bench``).  Returns ``times[r][i]`` in ms, each
+    graph's last result and the fit against edge count of each median round
+    share times the median round total: slope and intercept in ms, R^2."""
     times = []
     gc.disable()
     try:
         for _ in range(rounds):
             results, row = [], []
-            for sample in samples:
+            for g in graphs:
                 t0 = time.perf_counter()
-                results.append(run(sample, cfg))
+                results.append(run(g, cfg))
                 row.append((time.perf_counter() - t0) * 1000.0)
             times.append(row)
     finally:
         gc.enable()
-    xs = [sample.m for sample in samples]
+    xs = [g.m for g in graphs]
     totals = [sum(row) for row in times]
     shares = [statistics.median(t / total for t, total in zip(col, totals)) for col in zip(*times)]
     scale = statistics.median(totals)
@@ -183,33 +158,25 @@ def _time_samples(samples: list[Graph], run, cfg: RunConfig, rounds: int):
 
 def cmd_bench(args) -> int:
     cfg = _run_config(method=args.method, threshold=args.threshold)
-    try:
-        fractions = [float(tok) for tok in args.fractions.split(",") if tok]
-    except ValueError as exc:
-        raise CliError(f"bad fraction list {args.fractions!r}") from exc
-    if len(set(fractions)) < 2:
-        raise CliError("need at least two distinct fractions for a linearity fit")
-    for fraction in fractions:
-        if not 0.0 < fraction <= 1.0:
-            raise CliError(f"fraction must be in (0, 1], got {fraction}")
     if args.repeats < 1:
         raise CliError("repeats must be >= 1")
-    samples = _edge_samples(_load_graph(args.input), fractions, args.seed)
-    if len({sample.m for sample in samples}) < 2:
-        raise CliError("fewer than two distinct edge counts for a linearity fit")
+    graphs = [_load_graph(path) for path in args.input]
+    if len({g.m for g in graphs}) < 2:
+        raise CliError("need at least two inputs with distinct edge counts for a linearity fit")
     full = args.phase == "full"
     times, results, (slope, intercept, r2) = _time_samples(
-        samples, detect if full else run_traversal, cfg, args.repeats
+        graphs, detect if full else run_traversal, cfg, args.repeats
     )
     quality = [
-        (f"{modularity(sample, result.cover):.6f}", result.cover.k) if full else ("", 0)
-        for sample, result in zip(samples, results)
+        (f"{modularity(g, result.cover):.6f}", result.cover.k) if full else ("", 0)
+        for g, result in zip(graphs, results)
     ]
-    dataset = os.path.splitext(os.path.basename(args.input))[0]
-    print("dataset,fraction,method,phase,run,time_ms,Q,k")
+    datasets = [os.path.splitext(os.path.basename(path))[0] for path in args.input]
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(("dataset", "n", "m", "method", "phase", "run", "time_ms", "Q", "k"))
     for r, row in enumerate(times):
-        for fraction, ms, (q_text, k) in zip(fractions, row, quality):
-            print(f"{dataset},{fraction},{args.method},{args.phase},{r},{ms:.3f},{q_text},{k}")
+        for dataset, g, ms, (q_text, k) in zip(datasets, graphs, row, quality):
+            out.writerow((dataset, g.n, g.m, args.method, args.phase, r, f"{ms:.3f}", q_text, k))
     print(f"fit slope_ms_per_edge={slope:.6g} intercept_ms={intercept:.6g} r2={r2:.4f}", file=sys.stderr)
     return 0
 
@@ -225,6 +192,8 @@ def cmd_sweep_threshold(args) -> int:
     _run_config(threshold=args.stop)
     if args.step < 1e-10:
         raise CliError(f"step {args.step:g} cannot advance the threshold up to {args.stop:g}")
+    if math.isinf(args.step):
+        raise CliError(f"step {args.step:g} is not finite")
     rows = math.floor((args.stop - args.start_r) / args.step + 1e-9) + 1
     g = _load_graph(args.input)
     print("r,Q,k")
@@ -254,13 +223,14 @@ def cmd_sweep_start(args) -> int:
             raise CliError("--sample must be >= 1")
     # A sorted sample of every node is every node in id order.
     starts = sorted(random.Random(args.seed).sample(range(g.n), min(count, g.n)))
-    print("start,degree,Q,k")
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(("start", "degree", "Q", "k"))
     qs = []
     for v in starts:
         result = detect(g, dataclasses.replace(cfg, start=v))
         q = modularity(g, result.cover)
         qs.append(q)
-        print(f"{g.labels[v]},{len(g.adj[v])},{q:.6f},{result.cover.k}")
+        out.writerow((g.labels[v], len(g.adj[v]), f"{q:.6f}", result.cover.k))
     mean = statistics.fmean(qs)
     stddev = statistics.pstdev(qs)
     rsd = stddev / mean if mean else float("inf")
@@ -289,11 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cover", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="runtime benchmark over edge-sampled subgraphs")
-    p.add_argument("--input", required=True)
-    p.add_argument("--fractions", default="0.25,0.5,0.75,1.0")
+    p = sub.add_parser("bench", help="runtime-vs-edges benchmark over a family of input graphs")
+    p.add_argument("--input", nargs="+", required=True)
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", choices=("ins", "cond"), default="ins")
     p.add_argument("--threshold", type=float, default=0.75)
     p.add_argument("--phase", choices=("traversal", "full"), default="traversal")

@@ -2,8 +2,7 @@
 
 Every graph, input or contracted, has one layout: sorted adjacency lists,
 parallel edge weights and a per-node self-loop weight.  Input graphs have
-one builder, :func:`load_edge_list`, and so have the edge samples that the
-``bench`` command times.  They are simple, so they carry unit
+one builder, :func:`load_edge_list`.  They are simple, so they carry unit
 weights and zero self-loops, and all nodes of one degree share a single
 unit-weight row; the reduced graphs produced by :mod:`commspread.refine`
 carry contracted weights.  Nothing mutates a graph's lists once it is

@@ -1,5 +1,7 @@
 """Command-line interface: outputs, CSV formats and error handling."""
 
+import csv
+import io
 import shutil
 import time
 
@@ -87,28 +89,24 @@ USAGE_ERRORS = [
      "[Errno 2] No such file or directory: 'missing-dir/cover.tsv'"),
     ("eval-unreadable-cover", "eval --input g.txt --cover missing.tsv",
      "cannot read cover missing.tsv: [Errno 2] No such file or directory: 'missing.tsv'"),
-    ("bench-single-fraction", "bench --input g.txt --fractions 1.0",
-     "need at least two distinct fractions for a linearity fit"),
-    # 0.5 and 0.51 of the 20 edges both sample 10 edges.
-    ("bench-one-edge-count", "bench --input g.txt --fractions 0.5,0.51",
-     "fewer than two distinct edge counts for a linearity fit"),
-    ("bench-bad-fraction", "bench --input g.txt --fractions 0.5,1.5",
-     "fraction must be in (0, 1], got 1.5"),
-    ("bench-fraction-before-load", "bench --input nope.txt --fractions 0.5,1.5",
-     "fraction must be in (0, 1], got 1.5"),
-    ("bench-zero-fraction", "bench --input g.txt --fractions 0,0.5",
-     "fraction must be in (0, 1], got 0.0"),
-    ("bench-bad-fraction-token", "bench --input g.txt --fractions 0.5,x",
-     "bad fraction list '0.5,x'"),
     ("bench-zero-repeats", "bench --input g.txt --repeats 0", "repeats must be >= 1"),
     ("bench-repeats-before-load", "bench --input nope.txt --repeats 0", "repeats must be >= 1"),
     ("bench-out-of-range-threshold", "bench --input g.txt --threshold -1",
      "threshold must be in [0, 1], got -1.0"),
+    ("bench-single-input", "bench --input g.txt",
+     "need at least two inputs with distinct edge counts for a linearity fit"),
+    ("bench-equal-edge-counts", "bench --input g.txt g.txt",
+     "need at least two inputs with distinct edge counts for a linearity fit"),
+    ("bench-unreadable-second-input", "bench --input g.txt nope.txt",
+     "cannot read input nope.txt: [Errno 2] No such file or directory: 'nope.txt'"),
     ("sweep-threshold-empty-range", "sweep-threshold --input g.txt --from 0.8 --to 0.4 --step 0.1",
      "need step > 0 and a non-empty threshold range"),
     # 0.9 and 0.95 are valid; the sweep must fail before printing them.
     ("sweep-threshold-range-beyond-one", "sweep-threshold --input g.txt --from 0.9 --to 1.2",
      "threshold must be in [0, 1], got 1.2"),
+    # Row 0 would run from + 0*inf, which is NaN.
+    ("sweep-threshold-infinite-step", "sweep-threshold --input g.txt --step inf",
+     "step inf is not finite"),
     ("sweep-start-empty-graph", "sweep-start --input empty.txt",
      "cannot sweep start nodes of an empty graph"),
     ("sweep-start-zero-sample", "sweep-start --input g.txt --sample 0", "--sample must be >= 1"),
@@ -374,46 +372,51 @@ def test_detect_then_eval_on_empty_graph(capsys, tmp_path):
     assert stdout.splitlines()[:2] == ["Q\t0.000", "k\t0"]
 
 
-def test_bench_csv_shape(capsys, monkeypatch, walkthrough_path):
+def run_bench(capsys, monkeypatch, tmp_path, rounds, phase):
+    """``bench`` on walkthrough13 and karate, in that order, for ``rounds``
+    rounds of ``phase``.
+
+    Checks the CSV header, the round-major rows, each row's ``n`` and ``m``
+    against its loaded graph and that every timed graph is a loaded one;
+    returns the rows.
+    """
+    paths = [shutil.copy(DATA_DIR / f"{name}.txt", tmp_path) for name in ("walkthrough13", "karate")]
     loaded, timed = [], []
-    load, traverse = cli._load_graph, cli.run_traversal
+    load = cli._load_graph
     monkeypatch.setattr(cli, "_load_graph", lambda path: loaded.append(load(path)) or loaded[-1])
-    monkeypatch.setattr(cli, "run_traversal", lambda g, cfg: timed.append(g) or traverse(g, cfg))
+    name = "detect" if phase == "full" else "run_traversal"
+    run = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda g, cfg: timed.append(g) or run(g, cfg))
     code, stdout, stderr = run_cli(
-        capsys,
-        "bench",
-        "--input", str(walkthrough_path),
-        "--fractions", "0.5,1.0",
-        "--repeats", "3",
-        "--phase", "traversal",
+        capsys, "bench", "--input", *map(str, paths), "--repeats", str(rounds), "--phase", phase
     )
     assert code == 0
-    lines = stdout.strip().splitlines()
-    assert lines[0] == "dataset,fraction,method,phase,run,time_ms,Q,k"
-    assert len(lines) == 1 + 2 * 3
-    assert lines[1].startswith("walkthrough13,0.5,ins,traversal,0,")
-    rows = [line.split(",") for line in lines[1:]]
-    assert [(row[1], row[4]) for row in rows] == [(f, str(r)) for r in range(3) for f in ("0.5", "1.0")]
-    assert len(timed) == 6 and not any(g is loaded[0] for g in timed)
+    header, *rows = csv.reader(io.StringIO(stdout))
+    assert header == ["dataset", "n", "m", "method", "phase", "run", "time_ms", "Q", "k"]
+    assert [(row[0], row[5]) for row in rows] == [
+        (dataset, str(r)) for r in range(rounds) for dataset in ("walkthrough13", "karate")
+    ]
+    assert [(row[1], row[2]) for row in rows] == [(str(g.n), str(g.m)) for g in loaded] * rounds
+    assert all(row[3:5] == ["ins", phase] for row in rows)
+    assert len(timed) == 2 * rounds and all(any(g is h for h in loaded) for g in timed)
     assert "fit slope_ms_per_edge=" in stderr and "r2=" in stderr
+    return rows
 
 
-def test_bench_full_phase_reports_quality(capsys, walkthrough_path):
-    code, stdout, _ = run_cli(
-        capsys,
-        "bench",
-        "--input", str(walkthrough_path),
-        "--fractions", "0.5,1.0",
-        "--repeats", "1",
-        "--phase", "full",
-    )
-    assert code == 0
-    row = stdout.strip().splitlines()[-1].split(",")
-    assert float(row[6]) >= 0.0  # Q populated in full phase
-    assert int(row[7]) >= 1
+def test_bench_csv_shape(capsys, monkeypatch, tmp_path):
+    rows = run_bench(capsys, monkeypatch, tmp_path, 3, "traversal")
+    assert [row[1:3] for row in rows[:2]] == [["13", "20"], ["34", "78"]]
+    assert all(row[7:] == ["", "0"] for row in rows)
 
 
-def test_bench_full_phase_times_detect_only(capsys, monkeypatch, walkthrough_path):
+def test_bench_full_phase_reports_quality(capsys, monkeypatch, tmp_path):
+    rows = run_bench(capsys, monkeypatch, tmp_path, 1, "full")
+    for row in rows:
+        assert float(row[7]) >= 0.0  # Q populated in full phase
+        assert int(row[8]) >= 1
+
+
+def test_bench_full_phase_times_detect_only(capsys, monkeypatch, tmp_path):
     # The reported Q is computed after the clock stops: a modularity that
     # takes 0.3 s must not show in any row's time.
     def slow_modularity(g, cover):
@@ -421,18 +424,9 @@ def test_bench_full_phase_times_detect_only(capsys, monkeypatch, walkthrough_pat
         return modularity(g, cover)
 
     monkeypatch.setattr(cli, "modularity", slow_modularity)
-    code, stdout, _ = run_cli(
-        capsys,
-        "bench",
-        "--input", str(walkthrough_path),
-        "--fractions", "0.5,1.0",
-        "--repeats", "1",
-        "--phase", "full",
-    )
-    assert code == 0
-    rows = [line.split(",") for line in stdout.strip().splitlines()[1:]]
+    rows = run_bench(capsys, monkeypatch, tmp_path, 1, "full")
     assert len(rows) == 2
-    assert all(float(row[5]) < 300.0 for row in rows)
+    assert all(float(row[6]) < 300.0 for row in rows)
 
 
 def test_sweep_threshold_csv(capsys, walkthrough_path):
@@ -467,18 +461,18 @@ def test_sweep_threshold_labels_each_row_with_the_threshold_run(capsys, walkthro
 
 def test_sweep_threshold_runs_each_threshold_once(capsys, walkthrough_path):
     # Row i runs round(from + i*step, 10) capped at --to; no end slack may
-    # add rows that repeat --to.
-    code, stdout, _ = run_cli(
-        capsys,
-        "sweep-threshold",
-        "--input", str(walkthrough_path),
-        "--from", "0.7",
-        "--to", "0.7000000003",
-        "--step", "1e-10",
-    )
-    assert code == 0
-    rs = [line.split(",")[0] for line in stdout.strip().splitlines()[1:]]
-    assert rs == ["0.70", "0.7000000001", "0.7000000002", "0.7000000003"]
+    # add rows that repeat --to, and a step beyond the range runs row 0 alone.
+    for bounds, expected in [
+        (["--from", "0.7", "--to", "0.7000000003", "--step", "1e-10"],
+         ["0.70", "0.7000000001", "0.7000000002", "0.7000000003"]),
+        (["--step", "1e308"], ["0.40"]),
+    ]:
+        code, stdout, _ = run_cli(
+            capsys, "sweep-threshold", "--input", str(walkthrough_path), *bounds
+        )
+        assert code == 0
+        rs = [line.split(",")[0] for line in stdout.strip().splitlines()[1:]]
+        assert rs == expected
 
 
 def test_sweep_start_all_nodes(capsys, walkthrough_path):
@@ -521,6 +515,16 @@ def test_sweep_start_sample_of_at_least_n_runs_every_node(capsys, walkthrough_pa
     ]
     assert outputs[0][0] == 0
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_sweep_start_quotes_labels_that_hold_a_comma_or_a_quote(capsys, tmp_path):
+    edges = tmp_path / "g.txt"
+    edges.write_text('a,b c\nc "d"\nd a,b\n')
+    code, stdout, _ = run_cli(capsys, "sweep-start", "--input", str(edges))
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(stdout)))
+    assert all(len(row) == 4 for row in rows)
+    assert [row[0] for row in rows] == ["start", "a,b", "c", '"d"', "d"]
 
 
 def test_unknown_subcommand_exits_2(capsys):

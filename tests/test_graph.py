@@ -1,4 +1,4 @@
-"""Edge-list ingestion, graph properties and edge samples."""
+"""Edge-list ingestion and graph properties."""
 
 import io
 import random
@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from commspread import Cover, Graph, GraphParseError, load_edge_list, modularity
-from commspread.cli import _edge_samples
 from commspread.refine import _local_moves, reduce_graph
 
 from conftest import graph, load_dataset
@@ -147,6 +146,12 @@ def test_empty_input_gives_empty_graph():
 def test_first_appearance_ids_and_label_roundtrip():
     g = graph("x y\ny z\nz x\n")
     assert g.labels == ["x", "y", "z"]
+    # "z" is isolated and takes an id between the edges' labels; "c#1" holds
+    # an inner "#" and "n\u00e9" is not ASCII.
+    g = graph("b a\nz z\nc#1 b\nd c#1\nn\u00e9 a\na d\n")
+    assert g.labels == ["b", "a", "z", "c#1", "d", "n\u00e9"]
+    assert sorted(edges(g)) == [(0, 1), (0, 3), (1, 4), (1, 5), (3, 4)]
+    assert g.adj[2] == []
 
 
 def test_edges_listed_once_sorted():
@@ -158,30 +163,6 @@ def test_edges_listed_once_sorted():
 def test_extra_nodes_preserved_as_isolates():
     g = graph("a b\nc c\n")
     assert g.n == 3 and len(g.adj[2]) == 0
-
-
-def test_sample_edges_floor_count_and_determinism(karate):
-    s1, s2 = _edge_samples(karate, (0.5, 0.5), 3)
-    assert s1.m == karate.m // 2
-    assert s1 == s2
-    assert s1.n == karate.n  # isolates retained
-    assert _edge_samples(karate, (1.0,), 0)[0].adj == karate.adj
-
-
-def test_sample_edges_subset_of_original(karate):
-    s = _edge_samples(karate, (0.25,), 9)[0]
-    assert set(edges(s)) <= set(edges(karate))
-
-
-def test_samples_keep_every_node_id_and_label():
-    # "z" is isolated and takes an id between the edges' labels.
-    g = graph("b a\nz z\nc#1 b\nd c#1\nné a\na d\n")
-    samples = _edge_samples(g, (0.2, 0.4, 0.6, 0.8, 1.0), 5)
-    assert [s.m for s in samples] == [1, 2, 3, 4, 5]
-    for s in samples:
-        assert (s.n, s.labels) == (g.n, g.labels)
-        assert set(edges(s)) <= set(edges(g))
-    assert samples[-1].adj == g.adj
 
 
 def test_weighted_graph_modularity_counts_self_loops_in_strength():
@@ -196,7 +177,6 @@ def test_weighted_graph_modularity_counts_self_loops_in_strength():
 
 def test_loaded_graphs_their_samples_and_the_empty_graph_are_unit(karate):
     assert karate.unit
-    assert all(s.unit for s in _edge_samples(karate, (0.25, 0.5, 1.0), 4))
     assert graph("").unit
 
 

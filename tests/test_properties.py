@@ -2,7 +2,6 @@
 
 import copy
 import io
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +17,6 @@ from commspread import (
     modularity,
     run_traversal,
 )
-from commspread.cli import _edge_samples
 from commspread.cover import UNASSIGNED
 from commspread.refine import (
     MOVE_TOLERANCE,
@@ -275,24 +273,6 @@ def test_contraction_equals_dict_and_sort_oracle(g, data):
             # An int count would pass == against the oracle's float.
             floats = [*got.graph.self_loops, *(w for ws in got.graph.weights for w in ws)]
             assert all(type(w) is float for w in floats)
-
-
-@settings(deadline=None)
-@given(
-    MIXED_GRAPHS,
-    st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0]),
-    st.integers(0, 2**32),
-)
-def test_sample_edges_equals_dict_and_sort_oracle(g, fraction, seed):
-    # The sample keeps the seeded draw from the sorted edge list, every
-    # node under its id and label, and the loader's invariants.
-    population = sorted(oracles.edges(g))
-    k = int(fraction * len(population))
-    s = _edge_samples(g, (fraction,), seed)[0]
-    assert (s.n, s.m, s.labels) == (g.n, k, g.labels)
-    assert sorted(oracles.edges(s)) == sorted(random.Random(seed).sample(population, k))
-    assert all(row == sorted(set(row)) for row in s.adj)
-    assert s.unit and not any(s.self_loops)
 
 
 @settings(deadline=None)
