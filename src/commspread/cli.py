@@ -7,7 +7,6 @@ import csv
 import dataclasses
 import functools
 import gc
-import math
 import os
 import random
 import statistics
@@ -19,6 +18,10 @@ from .graph import Graph, GraphParseError, load_edge_list
 from .metrics import cover_stats, modularity
 from .pipeline import detect
 from .traversal import RunConfig, run_traversal
+
+
+# The paper's threshold grid, r = 0.40 .. 0.85 in steps of 0.05.
+PAPER_THRESHOLDS = tuple(i / 20 for i in range(8, 18))
 
 
 class CliError(Exception):
@@ -168,7 +171,7 @@ def cmd_bench(args) -> int:
         graphs, detect if full else run_traversal, cfg, args.repeats
     )
     quality = [
-        (f"{modularity(g, result.cover):.6f}", result.cover.k) if full else ("", 0)
+        (f"{modularity(g, result.cover):.6f}", result.cover.k) if full else ("", "")
         for g, result in zip(graphs, results)
     ]
     datasets = [os.path.splitext(os.path.basename(path))[0] for path in args.input]
@@ -181,29 +184,21 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _sweep(g: Graph, cfgs):
+    """Yields ``(Q, k)`` of ``detect(g, cfg)`` for each config in order."""
+    for cfg in cfgs:
+        cover = detect(g, cfg).cover
+        yield modularity(g, cover), cover.k
+
+
 def cmd_sweep_threshold(args) -> int:
-    if not (args.step > 0 and args.start_r <= args.stop):
-        raise CliError("need step > 0 and a non-empty threshold range")
-    # Row i runs round(from + i*step, 10) capped at --to, so thresholds rise
-    # from the first to at most --to and checking both ends checks all.  A
-    # step below 1e-10 would run some rounded threshold twice.  The 1e-9
-    # absorbs the float error of the division when the step divides the range.
-    _run_config(threshold=round(args.start_r, 10))
-    _run_config(threshold=args.stop)
-    if args.step < 1e-10:
-        raise CliError(f"step {args.step:g} cannot advance the threshold up to {args.stop:g}")
-    if math.isinf(args.step):
-        raise CliError(f"step {args.step:g} is not finite")
-    rows = math.floor((args.stop - args.start_r) / args.step + 1e-9) + 1
+    cfgs = [_run_config(method="ins", threshold=r) for r in args.threshold]
     g = _load_graph(args.input)
     print("r,Q,k")
-    for i in range(rows):
-        threshold = min(round(args.start_r + i * args.step, 10), args.stop)
-        result = detect(g, _run_config(method="ins", threshold=threshold))
-        q = modularity(g, result.cover)
+    for r, (q, k) in zip(args.threshold, _sweep(g, cfgs)):
         # Two decimals where they are exact, else every digit the run used.
-        label = f"{threshold:.2f}" if round(threshold, 2) == threshold else str(threshold)
-        print(f"{label},{q:.6f},{result.cover.k}")
+        label = f"{r:.2f}" if round(r, 2) == r else str(r)
+        print(f"{label},{q:.6f},{k}")
     return 0
 
 
@@ -226,11 +221,10 @@ def cmd_sweep_start(args) -> int:
     out = csv.writer(sys.stdout, lineterminator="\n")
     out.writerow(("start", "degree", "Q", "k"))
     qs = []
-    for v in starts:
-        result = detect(g, dataclasses.replace(cfg, start=v))
-        q = modularity(g, result.cover)
+    cfgs = [dataclasses.replace(cfg, start=v) for v in starts]
+    for v, (q, k) in zip(starts, _sweep(g, cfgs)):
         qs.append(q)
-        out.writerow((g.labels[v], len(g.adj[v]), f"{q:.6f}", result.cover.k))
+        out.writerow((g.labels[v], len(g.adj[v]), f"{q:.6f}", k))
     mean = statistics.fmean(qs)
     stddev = statistics.pstdev(qs)
     rsd = stddev / mean if mean else float("inf")
@@ -269,9 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-threshold", help="detection quality across thresholds")
     p.add_argument("--input", required=True)
-    p.add_argument("--from", dest="start_r", type=float, default=0.4)
-    p.add_argument("--to", dest="stop", type=float, default=0.85)
-    p.add_argument("--step", type=float, default=0.05)
+    p.add_argument("--threshold", nargs="+", type=float, default=PAPER_THRESHOLDS)
     p.set_defaults(func=cmd_sweep_threshold)
 
     p = sub.add_parser("sweep-start", help="detection quality across starting nodes")

@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import chain, filterfalse
+from operator import countOf
 from typing import Optional
 
 from .graph import Graph
@@ -145,7 +146,7 @@ def run_traversal(g: Graph, cfg: RunConfig, trace: bool = False) -> TraversalRes
             c = comm[v]
             k_s = volume[c]
             k_t = degree[u]
-            k_ts = list(map(label_of, adj[u])).count(c)
+            k_ts = countOf(map(label_of, adj[u]), c)
             if classify_by_conductance(k_t, k_ts, k_s, twom - k_s - k_t, cut[c] - k_ts):
                 # The cut loses u's edges into the cluster and gains the rest.
                 volume[c] = k_s + k_t

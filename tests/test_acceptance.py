@@ -13,7 +13,7 @@ import time
 import pytest
 
 from commspread import Cover, Graph, RunConfig, detect, modularity, run_traversal
-from commspread.cli import _time_samples
+from commspread.cli import PAPER_THRESHOLDS, _sweep, _time_samples
 from commspread.refine import reduce_graph
 from commspread.traversal import NodeType, classify_by_conductance
 
@@ -72,10 +72,8 @@ def test_criterion_2_benchmark_bands(capsys, name, target, tol):
 
 
 def test_criterion_3_threshold_sweep_shape(capsys, karate):
-    qs = {}
-    for i in range(8, 18):  # r = 0.40 .. 0.85 in steps of 0.05
-        r = i / 20
-        qs[r], _, _ = detect_q(karate, method="ins", threshold=r)
+    cfgs = [RunConfig(method="ins", threshold=r) for r in PAPER_THRESHOLDS]
+    qs = {r: q for r, (q, _) in zip(PAPER_THRESHOLDS, _sweep(karate, cfgs))}
     low_zero = all(qs[r] == 0.0 for r in (0.40, 0.45, 0.50))
     mid_high = all(qs[r] > 0.35 for r in (0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85))
     peak_at_08 = qs[0.80] >= max(qs.values()) - 1e-12 and abs(qs[0.80] - 0.42) <= 0.03
@@ -89,9 +87,8 @@ def test_criterion_3_threshold_sweep_shape(capsys, karate):
 
 
 def start_sweep_rsd(g: Graph) -> tuple[float, float]:
-    qs = [
-        detect_q(g, method="ins", threshold=0.75, start=v)[0] for v in range(g.n)
-    ]
+    cfgs = [RunConfig(method="ins", threshold=0.75, start=v) for v in range(g.n)]
+    qs = [q for q, _ in _sweep(g, cfgs)]
     mean = statistics.mean(qs)
     return mean, statistics.pstdev(qs) / mean
 

@@ -99,14 +99,11 @@ USAGE_ERRORS = [
      "need at least two inputs with distinct edge counts for a linearity fit"),
     ("bench-unreadable-second-input", "bench --input g.txt nope.txt",
      "cannot read input nope.txt: [Errno 2] No such file or directory: 'nope.txt'"),
-    ("sweep-threshold-empty-range", "sweep-threshold --input g.txt --from 0.8 --to 0.4 --step 0.1",
-     "need step > 0 and a non-empty threshold range"),
-    # 0.9 and 0.95 are valid; the sweep must fail before printing them.
-    ("sweep-threshold-range-beyond-one", "sweep-threshold --input g.txt --from 0.9 --to 1.2",
+    # 0.9 is valid; the sweep must fail before printing it.
+    ("sweep-threshold-range-beyond-one", "sweep-threshold --input g.txt --threshold 0.9 1.2",
      "threshold must be in [0, 1], got 1.2"),
-    # Row 0 would run from + 0*inf, which is NaN.
-    ("sweep-threshold-infinite-step", "sweep-threshold --input g.txt --step inf",
-     "step inf is not finite"),
+    ("sweep-threshold-nan", "sweep-threshold --input g.txt --threshold 0.5 nan",
+     "threshold must be in [0, 1], got nan"),
     ("sweep-start-empty-graph", "sweep-start --input empty.txt",
      "cannot sweep start nodes of an empty graph"),
     ("sweep-start-zero-sample", "sweep-start --input g.txt --sample 0", "--sample must be >= 1"),
@@ -135,33 +132,6 @@ def check_usage_error(capsys, tmp_path, monkeypatch, command, message):
     assert code == 2
     assert stderr == f"error: {message}\n"
     assert stdout == ""
-
-
-# The next two are rows of the same shape, one per option or step.
-@pytest.mark.parametrize("option", ["--from", "--to", "--step"])
-def test_sweep_threshold_rejects_nan(capsys, tmp_path, monkeypatch, option):
-    check_usage_error(
-        capsys, tmp_path, monkeypatch,
-        f"sweep-threshold --input g.txt {option} nan",
-        "need step > 0 and a non-empty threshold range",
-    )
-
-
-# 0.4 + 1e-20 == 0.4, and 0.85 + 3e-17 == 0.85.  Thresholds are rounded to
-# 10 decimals, so a step below 1e-10 would run some of them twice.
-@pytest.mark.parametrize(
-    "step,bounds,top",
-    [("1e-20", "", "0.85"), ("3e-17", "", "0.85"), ("1e-11", " --from 0.7 --to 0.7000000003", "0.7")],
-    ids=["1e-20", "3e-17", "1e-11"],
-)
-def test_sweep_threshold_rejects_step_that_cannot_advance(
-    capsys, tmp_path, monkeypatch, step, bounds, top
-):
-    check_usage_error(
-        capsys, tmp_path, monkeypatch,
-        f"sweep-threshold --input g.txt --step {step}{bounds}",
-        f"step {step} cannot advance the threshold up to {top}",
-    )
 
 
 @pytest.mark.parametrize(
@@ -406,7 +376,7 @@ def run_bench(capsys, monkeypatch, tmp_path, rounds, phase):
 def test_bench_csv_shape(capsys, monkeypatch, tmp_path):
     rows = run_bench(capsys, monkeypatch, tmp_path, 3, "traversal")
     assert [row[1:3] for row in rows[:2]] == [["13", "20"], ["34", "78"]]
-    assert all(row[7:] == ["", "0"] for row in rows)
+    assert all(row[7:] == ["", ""] for row in rows)
 
 
 def test_bench_full_phase_reports_quality(capsys, monkeypatch, tmp_path):
@@ -429,50 +399,28 @@ def test_bench_full_phase_times_detect_only(capsys, monkeypatch, tmp_path):
     assert all(float(row[6]) < 300.0 for row in rows)
 
 
-def test_sweep_threshold_csv(capsys, walkthrough_path):
-    code, stdout, _ = run_cli(
-        capsys,
-        "sweep-threshold",
-        "--input", str(walkthrough_path),
-        "--from", "0.5",
-        "--to", "0.7",
-        "--step", "0.1",
-    )
+def sweep_thresholds(capsys, path, *args):
+    code, stdout, _ = run_cli(capsys, "sweep-threshold", "--input", str(path), *args)
     assert code == 0
     lines = stdout.strip().splitlines()
     assert lines[0] == "r,Q,k"
-    assert [line.split(",")[0] for line in lines[1:]] == ["0.50", "0.60", "0.70"]
+    return [line.split(",")[0] for line in lines[1:]]
+
+
+def test_sweep_threshold_csv(capsys, walkthrough_path):
+    rs = sweep_thresholds(capsys, walkthrough_path, "--threshold", "0.5", "0.6", "0.7")
+    assert rs == ["0.50", "0.60", "0.70"]
+
+
+def test_sweep_threshold_default_is_the_paper_grid(capsys, walkthrough_path):
+    rs = sweep_thresholds(capsys, walkthrough_path)
+    assert rs == ["0.40", "0.45", "0.50", "0.55", "0.60", "0.65", "0.70", "0.75", "0.80", "0.85"]
 
 
 def test_sweep_threshold_labels_each_row_with_the_threshold_run(capsys, walkthrough_path):
-    # A step below 0.01 must not print distinct thresholds under one label.
-    code, stdout, _ = run_cli(
-        capsys,
-        "sweep-threshold",
-        "--input", str(walkthrough_path),
-        "--from", "0.7",
-        "--to", "0.71",
-        "--step", "0.002",
-    )
-    assert code == 0
-    rs = [line.split(",")[0] for line in stdout.strip().splitlines()[1:]]
-    assert rs == ["0.70", "0.702", "0.704", "0.706", "0.708", "0.71"]
-
-
-def test_sweep_threshold_runs_each_threshold_once(capsys, walkthrough_path):
-    # Row i runs round(from + i*step, 10) capped at --to; no end slack may
-    # add rows that repeat --to, and a step beyond the range runs row 0 alone.
-    for bounds, expected in [
-        (["--from", "0.7", "--to", "0.7000000003", "--step", "1e-10"],
-         ["0.70", "0.7000000001", "0.7000000002", "0.7000000003"]),
-        (["--step", "1e308"], ["0.40"]),
-    ]:
-        code, stdout, _ = run_cli(
-            capsys, "sweep-threshold", "--input", str(walkthrough_path), *bounds
-        )
-        assert code == 0
-        rs = [line.split(",")[0] for line in stdout.strip().splitlines()[1:]]
-        assert rs == expected
+    # Thresholds closer than 0.01 must not print under one label.
+    rs = sweep_thresholds(capsys, walkthrough_path, "--threshold", "0.7", "0.702", "0.71")
+    assert rs == ["0.70", "0.702", "0.71"]
 
 
 def test_sweep_start_all_nodes(capsys, walkthrough_path):
