@@ -71,8 +71,8 @@ def _load_graph(path: str) -> Graph:
         raise CliError(f"cannot parse {path}: {exc}") from exc
 
 
-def _resolve_start(g: Graph, value: str) -> int | None:
-    if value == "auto":
+def _resolve_start(g: Graph, value: str | None) -> int | None:
+    if value is None:
         return None
     try:
         return g.labels.index(value)
@@ -207,15 +207,9 @@ def cmd_sweep_start(args) -> int:
     g = _load_graph(args.input)
     if g.n == 0:
         raise CliError("cannot sweep start nodes of an empty graph")
-    if args.sample == "all":
-        count = g.n
-    else:
-        try:
-            count = int(args.sample)
-        except ValueError:
-            raise CliError(f"--sample must be 'all' or an integer, got {args.sample!r}") from None
-        if count < 1:
-            raise CliError("--sample must be >= 1")
+    count = g.n if args.sample is None else args.sample
+    if count < 1:
+        raise CliError("--sample must be >= 1")
     # A sorted sample of every node is every node in id order.
     starts = sorted(random.Random(args.seed).sample(range(g.n), min(count, g.n)))
     out = csv.writer(sys.stdout, lineterminator="\n")
@@ -243,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--method", choices=("ins", "cond"), required=True)
     p.add_argument("--threshold", type=float, default=0.75)
-    p.add_argument("--start", default="auto", help="start node label or 'auto'")
+    p.add_argument("--start")
     p.add_argument("--skip-modmax", action="store_true")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_detect)
@@ -268,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-start", help="detection quality across starting nodes")
     p.add_argument("--input", required=True)
-    p.add_argument("--sample", default="all", help="'all' or a sample size")
+    p.add_argument("--sample", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=0.75)
     p.set_defaults(func=cmd_sweep_start)

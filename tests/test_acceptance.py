@@ -12,12 +12,14 @@ import time
 
 import pytest
 
-from commspread import Cover, Graph, RunConfig, detect, modularity, run_traversal
+from commspread import (
+    Cover, Graph, RunConfig, detect, load_edge_list, louvain, modularity, read_cover_file, run_traversal,
+)
 from commspread.cli import PAPER_THRESHOLDS, _sweep, _time_samples
 from commspread.refine import reduce_graph
 from commspread.traversal import NodeType, classify_by_conductance
 
-from conftest import DATA_DIR, labeled_graph, load_dataset, random_graph, random_partition
+from conftest import DATA_DIR, labeled_graph, load_dataset, perfbench_module, random_graph, random_partition
 from oracles import communities, conductance_args, lowers_conductance
 
 
@@ -247,3 +249,50 @@ def test_criterion_9_modmax_monotonicity(capsys):
         ok,
         f"datasets={datasets}, smallest gain {worst[0]:.4f} ({worst[1]}/{worst[2]})",
     )
+
+
+# NMI against the planted communities and Q of detect ins, detect cond and
+# louvain on the committed LFR files (scripts/make_lfr.py), measured at
+# aa405e5 and cut to three decimals.  Each run must reach its value less
+# LFR_MARGIN: a result change that loses more on any file fails the gate.
+LFR_MEASURED = {
+    "lfr1000_mu0.1": {"ins": (0.991, 0.744), "cond": (0.998, 0.745), "louvain": (0.996, 0.745)},
+    "lfr1000_mu0.3": {"ins": (0.832, 0.500), "cond": (0.895, 0.514), "louvain": (0.867, 0.506)},
+    "lfr1000_mu0.5": {"ins": (0.190, 0.300), "cond": (0.113, 0.289), "louvain": (0.154, 0.301)},
+    "lfr5000_mu0.1": {"ins": (0.952, 0.802), "cond": (0.953, 0.802), "louvain": (0.954, 0.802)},
+    "lfr5000_mu0.3": {"ins": (0.893, 0.582), "cond": (0.894, 0.581), "louvain": (0.889, 0.582)},
+    "lfr5000_mu0.5": {"ins": (0.324, 0.325), "cond": (0.357, 0.322), "louvain": (0.365, 0.330)},
+}
+LFR_MARGIN = 0.02
+
+
+@pytest.mark.parametrize("name", list(LFR_MEASURED))
+def test_criterion_10_lfr_quality(capsys, name):
+    nmi = perfbench_module("quality").nmi
+    # Read directly, not by load_dataset: a committed file that is missing
+    # must fail the gate, not skip it.
+    with (DATA_DIR / f"{name}.txt").open(encoding="utf-8") as fh:
+        g = load_edge_list(fh)
+    with (DATA_DIR / f"{name}_truth.tsv").open(encoding="utf-8") as fh:
+        truth = read_cover_file(g, fh)
+    covers = {
+        "ins": detect(g, RunConfig(method="ins")).cover,
+        "cond": detect(g, RunConfig(method="cond")).cover,
+        "louvain": louvain(g),
+    }
+    scores = {
+        method: (nmi(truth.assignment, cover.assignment), modularity(g, cover))
+        for method, cover in covers.items()
+    }
+    ok = all(
+        score >= floor - LFR_MARGIN
+        for method, pair in scores.items()
+        for score, floor in zip(pair, LFR_MEASURED[name][method])
+    )
+    runs = ", ".join(f"{method} NMI={a:.3f} Q={b:.3f}" for method, (a, b) in scores.items())
+    lead = ", ".join(
+        f"{method}-louvain NMI {scores[method][0] - scores['louvain'][0]:+.3f} "
+        f"Q {scores[method][1] - scores['louvain'][1]:+.4f}"
+        for method in ("ins", "cond")
+    )
+    report(capsys, f"10 {name} quality", ok, f"{runs} (floors: measured - {LFR_MARGIN}); {lead}")

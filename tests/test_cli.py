@@ -7,11 +7,11 @@ import time
 
 import pytest
 
-from commspread import cli
+from commspread import RunConfig, cli, detect, write_cover_file
 from commspread.cli import main
 from commspread.metrics import modularity
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, graph
 
 
 @pytest.fixture
@@ -70,6 +70,22 @@ def test_detect_skip_modmax_flag(capsys, tmp_path, walkthrough_path):
         assert stdout.split("\t")[2] == k, flags
 
 
+def test_detect_start_names_a_node_even_one_labelled_auto(capsys, tmp_path):
+    # Without --start the traversal starts from the lowest-degree node, b;
+    # --start auto must start from the node labelled "auto".
+    path = tmp_path / "g.txt"
+    path.write_text("auto x\nx y\ny z\nz w\nw auto\nauto b\n")
+    out = tmp_path / "cover.tsv"
+    code, _, _ = run_cli(
+        capsys, "detect", "--input", str(path), "--method", "ins", "--start", "auto", "--output", str(out)
+    )
+    assert code == 0
+    g = graph(path.read_text())
+    expected = io.StringIO()
+    write_cover_file(g, detect(g, RunConfig(method="ins", start=g.labels.index("auto"))).cover, expected)
+    assert out.read_text() == expected.getvalue()
+
+
 # (id, command line, message): the command exits 2, prints nothing on stdout
 # and only "error: <message>" on stderr.  The test writes the files it reads.
 USAGE_ERRORS = [
@@ -107,8 +123,6 @@ USAGE_ERRORS = [
     ("sweep-start-empty-graph", "sweep-start --input empty.txt",
      "cannot sweep start nodes of an empty graph"),
     ("sweep-start-zero-sample", "sweep-start --input g.txt --sample 0", "--sample must be >= 1"),
-    ("sweep-start-bad-sample", "sweep-start --input g.txt --sample zero",
-     "--sample must be 'all' or an integer, got 'zero'"),
     ("sweep-start-out-of-range-threshold", "sweep-start --input g.txt --threshold 1.5",
      "threshold must be in [0, 1], got 1.5"),
 ]
@@ -458,11 +472,21 @@ def test_sweep_start_sampled_deterministic(capsys, walkthrough_path):
 
 def test_sweep_start_sample_of_at_least_n_runs_every_node(capsys, walkthrough_path):
     outputs = [
-        run_cli(capsys, "sweep-start", "--input", str(walkthrough_path), "--sample", sample)
-        for sample in ("all", "13", "100")
+        run_cli(capsys, "sweep-start", "--input", str(walkthrough_path), *sample)
+        for sample in ((), ("--sample", "13"), ("--sample", "100"))
     ]
     assert outputs[0][0] == 0
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("sample", ["zero", "all"])
+def test_sweep_start_sample_takes_only_an_integer(capsys, walkthrough_path, sample):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-start", "--input", str(walkthrough_path), "--sample", sample])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--sample: invalid int value: '{sample}'" in captured.err
 
 
 def test_sweep_start_quotes_labels_that_hold_a_comma_or_a_quote(capsys, tmp_path):
